@@ -60,7 +60,6 @@ from .patches import (
     caret,
     caret_table,
     check_viral,
-    counts,
     enumerate_admissible,
     expand_leaf,
     history,

@@ -11,7 +11,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-import time
 from pathlib import Path
 
 from .count_algebra import thresholds as compute_thresholds
@@ -59,8 +58,23 @@ def _dumps(obj) -> str:
     return json.dumps(obj, indent=2, sort_keys=True) + "\n"
 
 
+def _read(path: str) -> str:
+    try:
+        return Path(path).read_text()
+    except OSError as exc:
+        raise ValidationError(f"cannot read {path}: {exc.strerror or exc}") from exc
+
+
 def _load_doc(path: str) -> GogDocument:
-    return parse_document(Path(path).read_text())
+    return parse_document(_read(path))
+
+
+def _load_complex(path: str) -> SimplicialComplex:
+    try:
+        data = json.loads(_read(path))
+    except json.JSONDecodeError as exc:
+        raise ValidationError(f"{path} is not valid JSON: {exc}") from exc
+    return SimplicialComplex.from_json_dict(data)
 
 
 def _resolve_gates(doc: GogDocument, args) -> GateSystem:
@@ -223,7 +237,6 @@ def _cmd_desclink(args) -> tuple[int, dict[str, str]]:
     artifacts: dict[str, str] = {}
     reports = []
     csv_lines = [CSV_HEADER]
-    started = time.time()
     for i, x in enumerate(verts):
         link = descending_link(x, table, base, max_vertices=args.max_link_vertices)
         rep = link_connectivity_report(
@@ -246,12 +259,7 @@ def _cmd_desclink(args) -> tuple[int, dict[str, str]]:
         reports.append(body)
         csv_lines.append(rep.csv_row())
         artifacts[f"link_h{args.height}_{i}.json"] = _dumps(link.to_json_dict())
-    summary = {
-        "height": args.height,
-        "links": reports,
-        "elapsed_seconds": round(time.time() - started, 3),
-    }
-    artifacts["desclink.json"] = _dumps(summary)
+    artifacts["desclink.json"] = _dumps({"height": args.height, "links": reports})
     artifacts["desclink.csv"] = "\n".join(csv_lines) + "\n"
     # stdout gets the summary and csv; full link JSONs only land in --out
     printed = {"desclink.json": artifacts["desclink.json"], "desclink.csv": artifacts["desclink.csv"]}
@@ -261,8 +269,7 @@ def _cmd_desclink(args) -> tuple[int, dict[str, str]]:
 
 
 def _cmd_homology(args) -> tuple[int, dict[str, str]]:
-    data = json.loads(Path(args.infile).read_text())
-    cx = SimplicialComplex.from_json_dict(data)
+    cx = _load_complex(args.infile)
     report = homology(cx, max_dim=args.max_dim)
     return 0, {"homology.json": _dumps(report.to_json_dict())}
 
@@ -275,8 +282,7 @@ def _parse_vertex_label(tok: str):
 
 
 def _cmd_lemma_check(args) -> tuple[int, dict[str, str]]:
-    data = json.loads(Path(args.infile).read_text())
-    cx = SimplicialComplex.from_json_dict(data)
+    cx = _load_complex(args.infile)
     sigma = tuple(_parse_vertex_label(t) for t in args.sigma.split(","))
     cb = lemma_connectivity_bound(cx, sigma, args.m, args.k)
     report = {
@@ -434,10 +440,27 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# least allowed value of each numeric option that has one
+_MINIMUM = {
+    "height": 0,
+    "m_max": 0,
+    "max_expansions": 0,
+    "max_trees": 0,
+    "max_link_vertices": 0,
+    "max_dim": 0,
+    "dickson_box": 1,
+}
+
+
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        for name, least in _MINIMUM.items():
+            value = getattr(args, name, None)
+            if value is not None and value < least:
+                flag = "--" + name.replace("_", "-")
+                raise ValidationError(f"{flag} must be at least {least}, got {value}")
         code, artifacts = args.func(args)
     except (GogSyntaxError, ValidationError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -19,7 +19,6 @@ from dataclasses import dataclass
 from typing import Callable, Iterator, Sequence
 
 from .errors import DicksonBoxExhausted, ValidationError
-from .parallel import pmap
 
 Vec = tuple[int, ...]
 
@@ -115,29 +114,24 @@ def order_feasible(n: Vec, table, base: CountVector) -> bool:
     """
     k = _check_dims(table, base)
     mm = expansion_matrix(table)
-    dead: set[Vec] = set()
-
-    def leaves_after(done: Vec) -> Vec:
-        return tuple(
-            base.leaves[i] + sum(mm[i][j] * done[j] for j in range(k)) for i in range(k)
-        )
-
-    def rec(remaining: Vec, done: Vec) -> bool:
-        if all(r == 0 for r in remaining):
+    n = tuple(n)
+    # depth-first search over the expansions still to do; a state is
+    # reached at most once, so the search is linear in the states
+    seen = {n}
+    stack = [n]
+    while stack:
+        remaining = stack.pop()
+        if not any(remaining):
             return True
-        if remaining in dead:
-            return False
-        cur = leaves_after(done)
+        done = [n[j] - remaining[j] for j in range(k)]
+        cur = [base.leaves[i] + sum(mm[i][j] * done[j] for j in range(k)) for i in range(k)]
         for j in range(k):
             if remaining[j] > 0 and cur[j] >= 1:
-                nr = tuple(r - (i == j) for i, r in enumerate(remaining))
-                nd = tuple(d + (i == j) for i, d in enumerate(done))
-                if rec(nr, nd):
-                    return True
-        dead.add(remaining)
-        return False
-
-    return rec(tuple(n), tuple(0 for _ in range(k)))
+                nxt = tuple(r - (i == j) for i, r in enumerate(remaining))
+                if nxt not in seen:
+                    seen.add(nxt)
+                    stack.append(nxt)
+    return False
 
 
 def realizable(c: CountVector, table, base: CountVector, viral: bool) -> frozenset[History]:
@@ -400,7 +394,7 @@ def thresholds(m: int, table, base: CountVector, box: int = 64) -> Thresholds:
         except DicksonBoxExhausted:
             return rho, None
 
-    results = pmap(alphas_for, rhos)
+    results = [alphas_for(rho) for rho in rhos]
     complete = all(vals is not None for _, vals in results)
     table_rows = tuple((rho, vals) for rho, vals in results if vals is not None)
     best = max((v for _, vals in table_rows for v in vals), default=0)

@@ -31,7 +31,6 @@ from .errors import (
 )
 from .gates import AdmissibilityCertificate, GateSystem, is_admissible
 from .model import GraphOfGroups, HalfEdge
-from .parallel import pmap
 
 Step = tuple[HalfEdge, int]
 Address = tuple[Step, ...]
@@ -412,7 +411,7 @@ class CaretTable:
 
 def caret_table(g: GraphOfGroups, gs: GateSystem, node_budget: int = DEFAULT_NODE_BUDGET) -> CaretTable:
     """Assemble M and I column-wise from the carets of all gate types."""
-    carets = tuple(pmap(lambda nu: caret(g, gs, nu, node_budget), gs.gates))
+    carets = tuple(caret(g, gs, nu, node_budget) for nu in gs.gates)
     k = gs.k
     m_rows = tuple(
         tuple(dict(carets[j].terminal_leaf_types).get(gs.gates[i], 0) for j in range(k))
@@ -436,10 +435,6 @@ def expand_leaf(t: TreePatch, leaf: Address, node_budget: int = DEFAULT_NODE_BUD
         raise ValidationError(f"leaf {leaf} has no gate type (entry {entry})")
     new = _expand_vertex(t.system, t.nodes, leaf, entry, node_budget)
     return TreePatch(t.system, t.nodes | new, t.marked)
-
-
-def counts(t: TreePatch) -> CountVector:
-    return t.counts()
 
 
 def history(t: TreePatch, t0: TreePatch) -> History:

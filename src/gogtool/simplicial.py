@@ -21,7 +21,6 @@ from functools import cached_property
 
 from .count_algebra import NOTE_HOMOLOGY_PROXY
 from .errors import CapExceeded, InvariantViolation, ValidationError
-from .parallel import pmap
 
 
 @dataclass(frozen=True)
@@ -93,10 +92,20 @@ class SimplicialComplex:
 
     @staticmethod
     def from_json_dict(data: dict) -> "SimplicialComplex":
-        return SimplicialComplex.from_maximal(
-            [frozenset(f) for f in data.get("maximal_faces", [])],
-            vertices=data.get("vertices"),
-        )
+        """Read a complex written by ``to_json_dict``; labels must be all
+        integers or all strings, so that they sort."""
+        if not isinstance(data, dict):
+            raise ValidationError("complex JSON must be an object")
+        faces = data.get("maximal_faces", [])
+        vertices = data.get("vertices")
+        if not isinstance(faces, list) or not all(isinstance(f, list) for f in faces):
+            raise ValidationError("maximal_faces must be a list of vertex-label lists")
+        if vertices is not None and not isinstance(vertices, list):
+            raise ValidationError("vertices must be a list of vertex labels")
+        labels = [v for f in faces for v in f] + (vertices or [])
+        if not (all(type(v) is int for v in labels) or all(type(v) is str for v in labels)):
+            raise ValidationError("vertex labels must be all integers or all strings")
+        return SimplicialComplex.from_maximal([frozenset(f) for f in faces], vertices=vertices)
 
 
 # -- pseudosimplex framework ------------------------------------------------
@@ -429,12 +438,7 @@ def homology(
                 if acc != 0:
                     raise InvariantViolation("boundary composed with boundary is nonzero")
 
-    diags = dict(
-        zip(
-            matrices.keys(),
-            pmap(lambda d: smith_normal_form(*matrices[d]), list(matrices.keys())),
-        )
-    )
+    diags = {d: smith_normal_form(*rows_n) for d, rows_n in matrices.items()}
     ranks = {d: len(diags[d]) for d in matrices}
     ranks[0] = 0
     ranks[top + 2] = 0

@@ -13,15 +13,19 @@ removed caret.
 Leaf slots within a type are interchangeable positions 1..L_i; any
 type-preserving relabelling of leaves is realised by an actual
 rearrangement, which is what justifies working with labelled subsets.
-The definition-level oracle below re-derives links from explicit tree
-enumeration and is compared against the fast path at desk scale; the
-fast path itself is only claimed for systems with the viral expansion
-property.
+So a face is fixed by its caret-type multiset mu plus a slot assignment,
+and one generator, ``_faces``, turns each allowed mu into its labelled
+faces.  The two constructions differ only in where the allowed mu come
+from: the fast path grows them from count data alone (only claimed for
+systems with the viral expansion property), while the definition-level
+oracle reads them off an explicit tree enumeration and is compared
+against the fast path at desk scale.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -204,15 +208,60 @@ def _residual_checker(x: SFVertex, table: CaretTable, base: CountVector):
     return ok
 
 
-def _max_face_size(k: int, ok) -> int:
-    s = 0
-    while True:
-        if not any(
-            ok(tuple(c.count(j) for j in range(k)))
-            for c in itertools.combinations_with_replacement(range(k), s + 1)
-        ):
-            return s
-        s += 1
+def _faces(mu: tuple[int, ...], table: CaretTable, leaves: tuple[int, ...]):
+    """Every labelled face of the caret-type multiset ``mu``, each once.
+
+    A face holds one LinkVertex per caret, with slot subsets pairwise
+    disjoint within each gate type.  Carets come by type, and carets of
+    one type in strictly increasing LinkVertex order; being disjoint, they
+    are ordered by the first slot of their first nonempty group, so that
+    slot is drawn above the previous caret's.  Faces come out as
+    increasing tuples of LinkVertex.
+    """
+    k = len(leaves)
+    carets = [j for j in range(k) for _ in range(mu[j])]
+    first = {j: next(i for i in range(k) if table.M[i][j]) for j in set(carets)}
+
+    def rec(idx: int, free: tuple[tuple[int, ...], ...], acc: list[LinkVertex]):
+        if idx == len(carets):
+            yield tuple(acc)
+            return
+        j, g = carets[idx], first[carets[idx]]
+        lo = acc[-1].slots[g][0] if acc and acc[-1].caret_type == j else -1
+        pools = [
+            itertools.combinations(
+                [s for s in free[i] if s > lo] if i == g else free[i], table.M[i][j]
+            )
+            for i in range(k)
+        ]
+        for choice in itertools.product(*pools):
+            rest = tuple(tuple(s for s in free[i] if s not in choice[i]) for i in range(k))
+            yield from rec(idx + 1, rest, acc + [LinkVertex(j, choice)])
+
+    yield from rec(0, tuple(tuple(range(n)) for n in leaves), [])
+
+
+def _link_from_multisets(
+    x: SFVertex, table: CaretTable, layers: list[set[tuple[int, ...]]]
+) -> DescendingLink:
+    """The link whose dimension-d faces are the labelled faces of the
+    caret-type multisets in ``layers[d]``."""
+    leaves = x.counts.leaves
+    vertices = tuple(
+        sorted(v for layer in layers[:1] for mu in layer for (v,) in _faces(mu, table, leaves))
+    )
+    index = {v: i for i, v in enumerate(vertices)}
+    higher = tuple(
+        tuple(
+            sorted(
+                tuple(index[v] for v in face)
+                for mu in layer
+                for face in _faces(mu, table, leaves)
+            )
+        )
+        for layer in layers[1:]
+    )
+    return DescendingLink(x, vertices, higher)
 
 
 def descending_link(
@@ -223,8 +272,11 @@ def descending_link(
 ) -> DescendingLink:
     """Fast-path construction of the descending link from count data only.
 
-    Only claimed for systems with the viral expansion property; the
-    oracle below validates the reduction at desk scale.
+    The allowed caret-type multisets grow layer by layer from the single
+    carets: a multiset is kept when ``ok`` holds for it and every multiset
+    one caret smaller was kept.  Only claimed for systems with the viral
+    expansion property; the oracle below validates the reduction at desk
+    scale.
     """
     if not is_viral(table, base):
         raise ValidationError(
@@ -235,58 +287,27 @@ def descending_link(
     leaves = x.counts.leaves
     ok = _residual_checker(x, table, base)
 
-    vertices: list[LinkVertex] = []
-    total = 0
-    for j in range(k):
-        mu = tuple(1 if t == j else 0 for t in range(k))
-        if not ok(mu):
-            continue
-        combos = 1
-        for i in range(k):
-            need = table.M[i][j]
-            pick = 1
-            for t in range(need):
-                pick = pick * (leaves[i] - t) // (t + 1)
-            combos *= pick
-        total += combos
-        if total > max_vertices:
-            raise CapExceeded(
-                f"descending link would have more than {max_vertices} vertices"
+    singles = [tuple(int(t == j) for t in range(k)) for j in range(k)]
+    kept = [j for j in range(k) if ok(singles[j])]
+    total = sum(math.prod(math.comb(leaves[i], table.M[i][j]) for i in range(k)) for j in kept)
+    if total > max_vertices:
+        raise CapExceeded(f"descending link would have more than {max_vertices} vertices")
+    layers = []
+    layer = {singles[j] for j in kept}
+    while layer:
+        layers.append(layer)
+        grown = {tuple(n + (t == j) for t, n in enumerate(nu)) for nu in layer for j in range(k)}
+        layer = {
+            mu
+            for mu in grown
+            if all(
+                tuple(n - (t == i) for t, n in enumerate(mu)) in layers[-1]
+                for i in range(k)
+                if mu[i]
             )
-        for choice in itertools.product(
-            *(itertools.combinations(range(leaves[i]), table.M[i][j]) for i in range(k))
-        ):
-            vertices.append(LinkVertex(j, tuple(choice)))
-    vertices.sort()
-
-    slot_sets = [tuple(frozenset(s) for s in v.slots) for v in vertices]
-    types = [v.caret_type for v in vertices]
-    smax = _max_face_size(k, ok)
-
-    def disjoint(a: int, join: tuple[frozenset, ...]) -> bool:
-        return all(not (slot_sets[a][i] & join[i]) for i in range(k))
-
-    higher: list[tuple[tuple[int, ...], ...]] = []
-    current = [
-        ((i,), tuple(1 if t == types[i] else 0 for t in range(k)), slot_sets[i])
-        for i in range(len(vertices))
-    ]
-    for _dim in range(1, smax):
-        nxt = []
-        for face, mu, join in current:
-            for b in range(face[-1] + 1, len(vertices)):
-                mu2 = tuple(m + (1 if t == types[b] else 0) for t, m in enumerate(mu))
-                if not ok(mu2):
-                    continue
-                if not disjoint(b, join):
-                    continue
-                join2 = tuple(join[i] | slot_sets[b][i] for i in range(k))
-                nxt.append((face + (b,), mu2, join2))
-        if not nxt:
-            break
-        higher.append(tuple(f for f, _, _ in nxt))
-        current = nxt
-    return DescendingLink(x, tuple(vertices), tuple(higher))
+            and ok(mu)
+        }
+    return _link_from_multisets(x, table, layers)
 
 
 # -- definition-level oracle ---------------------------------------------
@@ -313,29 +334,6 @@ def _removable_carets(t: TreePatch, t0: TreePatch) -> list[tuple]:
     return out
 
 
-def _assignments(mu: tuple[int, ...], table: CaretTable, leaves: tuple[int, ...]):
-    """All labelled realisations of a caret-type multiset: per caret, a
-    per-type slot subset, pairwise disjoint within each type."""
-    k = len(leaves)
-    carets = [j for j in range(k) for _ in range(mu[j])]
-
-    def rec(idx: int, used: tuple[frozenset, ...], acc: list[LinkVertex]):
-        if idx == len(carets):
-            yield frozenset(acc)
-            return
-        j = carets[idx]
-        pools = [
-            [c for c in itertools.combinations(range(leaves[i]), table.M[i][j])
-             if not (set(c) & used[i])]
-            for i in range(k)
-        ]
-        for choice in itertools.product(*pools):
-            used2 = tuple(used[i] | set(choice[i]) for i in range(k))
-            yield from rec(idx + 1, used2, acc + [LinkVertex(j, tuple(choice))])
-
-    yield from rec(0, tuple(frozenset() for _ in range(k)), [])
-
-
 def oracle_descending_link(
     x: SFVertex,
     g: GraphOfGroups,
@@ -345,53 +343,28 @@ def oracle_descending_link(
 ) -> DescendingLink:
     """Definition-level descending link via explicit tree enumeration.
 
-    Enumerates every admissible tree with the counts of x, reads off all
-    sets of disjoint removable carets, and assembles labelled faces
-    through explicit type-preserving leaf matchings (every matching is
-    realised by a rearrangement, so each witness contributes all slot
-    assignments of its caret-type multiset).  Deduplication is by value.
+    Enumerates every admissible tree with the counts of x and reads off
+    the caret-type multiset of every set of removable carets.  Every
+    type-preserving leaf matching is realised by a rearrangement, so each
+    multiset contributes all its labelled faces, built by the generator
+    the fast path uses.
     """
     t0.require_admissible("t0")
     table = caret_table(g, gs)
     base = t0.counts()
-    leaves = x.counts.leaves
     delta = x.counts.interior - base.interior
 
     mus: set[tuple[int, ...]] = set()
     if delta >= 0:
-        k = gs.k
-        trees = [
-            t
-            for t in enumerate_admissible(g, gs, t0, delta, max_trees)
-            if t.counts() == x.counts
-        ]
-        for t in trees:
-            removable = _removable_carets(t, t0)
-            for r in range(1, len(removable) + 1):
-                for subset in itertools.combinations(removable, r):
-                    mu = tuple(
-                        sum(1 for _, j in subset if j == tt) for tt in range(k)
-                    )
-                    mus.add(mu)
-
-    vertex_set: set[LinkVertex] = set()
-    for mu in mus:
-        if sum(mu) == 1:
-            for face in _assignments(mu, table, leaves):
-                vertex_set.update(face)
-    vertices = tuple(sorted(vertex_set))
-    index = {v: i for i, v in enumerate(vertices)}
-
-    by_dim: dict[int, set[tuple[int, ...]]] = {}
-    for mu in sorted(mus, key=sum):
-        d = sum(mu) - 1
-        if d < 1:
-            continue
-        for face in _assignments(mu, table, leaves):
-            by_dim.setdefault(d, set()).add(tuple(sorted(index[v] for v in face)))
-    max_d = max(by_dim, default=0)
-    higher = tuple(tuple(sorted(by_dim.get(d, ()))) for d in range(1, max_d + 1))
-    return DescendingLink(x, vertices, higher)
+        for t in enumerate_admissible(g, gs, t0, delta, max_trees):
+            if t.counts() != x.counts:
+                continue
+            types = [j for _, j in _removable_carets(t, t0)]
+            mus.update(itertools.product(*(range(types.count(j) + 1) for j in range(gs.k))))
+    mus.discard(tuple(0 for _ in range(gs.k)))
+    top = max(map(sum, mus), default=0)
+    layers = [{mu for mu in mus if sum(mu) == s} for s in range(1, top + 1)]
+    return _link_from_multisets(x, table, layers)
 
 
 def link_difference(a: DescendingLink, b: DescendingLink) -> str | None:
@@ -530,25 +503,16 @@ def link_connectivity_report(
 def _planted_same_type_face(
     link: DescendingLink, table: CaretTable, base: CountVector, size: int
 ) -> tuple[int, ...] | None:
-    """Greedily look for a link face made of ``size`` disjoint type-1 carets."""
+    """The first link face made of ``size`` disjoint type-1 carets, if any."""
     if size <= 0:
         return None
     k = len(table.I)
     ok = _residual_checker(link.x, table, base)
-    chosen: list[int] = []
-    join = tuple(frozenset() for _ in range(k))
-    for i, v in enumerate(link.vertices):
-        if v.caret_type != 0:
-            continue
-        if any(set(v.slots[t]) & join[t] for t in range(k)):
-            continue
-        mu = tuple(
-            (len(chosen) + 1) if t == 0 else 0 for t in range(k)
-        )
-        if not ok(mu):
-            continue
-        chosen.append(i)
-        join = tuple(join[t] | set(v.slots[t]) for t in range(k))
-        if len(chosen) == size:
-            return tuple(chosen)
-    return None
+    if not all(ok(tuple(n if t == 0 else 0 for t in range(k))) for n in range(1, size + 1)):
+        return None
+    mu = tuple(size if t == 0 else 0 for t in range(k))
+    face = next(_faces(mu, table, link.x.counts.leaves), None)
+    if face is None:
+        return None
+    index = {v: i for i, v in enumerate(link.vertices)}
+    return tuple(index[v] for v in face)

@@ -1,10 +1,15 @@
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
 from gogtool.cli import main
 
 from conftest import DATA
+
+SRC = DATA.parent / "src"
 
 
 def run(capsys, *argv):
@@ -199,3 +204,54 @@ def test_cap_exceeded_exits_two(capsys):
     )
     assert code == 2
     assert "cap exceeded" in err
+
+
+def test_desclink_artifacts_byte_identical(tmp_path):
+    # separate processes, so nothing cached or timed carries over
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
+    for name in ("a", "b"):
+        subprocess.run(
+            [sys.executable, "-m", "gogtool.cli", "--out", str(tmp_path / name),
+             "desclink", str(DATA / "amalgam33.gog"), "--height", "9", "--m-max", "1"],
+            env=env, check=True, stdout=subprocess.DEVNULL,
+        )
+    files = sorted(p.name for p in (tmp_path / "a").iterdir())
+    assert "desclink.json" in files
+    assert files == sorted(p.name for p in (tmp_path / "b").iterdir())
+    for name in files:
+        assert (tmp_path / "a" / name).read_bytes() == (tmp_path / "b" / name).read_bytes()
+
+
+LOOP = str(DATA / "loop33.gog")
+
+# each input must exit 1 with a one-line "error:" message
+BAD_INPUTS = {
+    "missing file": ["validate", "{tmp}/nope.gog"],
+    "malformed json": ["homology", "--in", "{tmp}/malformed.json"],
+    "mixed labels, homology": ["homology", "--in", "{tmp}/mixed.json"],
+    "mixed labels, lemma-check": [
+        "lemma-check", "--in", "{tmp}/mixed.json", "--sigma", "0", "-m", "1", "-k", "1",
+    ],
+    "negative height": ["desclink", LOOP, "--height", "-5"],
+    "negative m-max": ["desclink", LOOP, "--height", "10", "--m-max", "-1"],
+    "negative max-expansions": ["enumerate", LOOP, "--max-expansions", "-1"],
+    "negative max-trees": ["enumerate", LOOP, "--max-expansions", "1", "--max-trees", "-1"],
+    "negative max-link-vertices": [
+        "desclink", LOOP, "--height", "10", "--max-link-vertices", "-1",
+    ],
+    "negative max-dim": ["homology", "--in", "{tmp}/triangle.json", "--max-dim", "-1"],
+    "dickson box 0": ["threshold", LOOP, "-m", "0", "--dickson-box", "0"],
+    "dickson box 0, desclink": ["desclink", LOOP, "--height", "10", "--dickson-box", "0"],
+}
+
+
+@pytest.mark.parametrize("argv", BAD_INPUTS.values(), ids=BAD_INPUTS.keys())
+def test_bad_input_exits_one(capsys, tmp_path, argv):
+    (tmp_path / "malformed.json").write_text('{"maximal_faces": [[0, 1]')
+    (tmp_path / "mixed.json").write_text(json.dumps({"maximal_faces": [[0, "a"], [1, 2]]}))
+    (tmp_path / "triangle.json").write_text(json.dumps({"maximal_faces": [[0, 1, 2]]}))
+    code, out, err = run(capsys, *(a.format(tmp=tmp_path) for a in argv))
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1, err

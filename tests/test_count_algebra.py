@@ -72,6 +72,11 @@ def test_order_feasible_blocks_missing_leaf_types(triple: System):
     assert order_feasible((1, 0, 1), triple.table, triple.base)
 
 
+def test_order_feasible_deeper_than_recursion_limit(z_line: System):
+    # 1,500 expansions in a row, one search state each
+    assert order_feasible((1500, 0), z_line.table, z_line.base)
+
+
 def test_realizable_agrees_with_enumeration(triple: System):
     # oracle: counts seen in an explicit enumeration are exactly the
     # realizable ones (and vice versa) within the expansion bound

@@ -1,4 +1,7 @@
 import itertools
+import math
+from collections import Counter
+from types import SimpleNamespace
 
 import pytest
 
@@ -6,7 +9,9 @@ import gogtool as gt
 from gogtool.errors import CapExceeded, ValidationError
 from gogtool.stein_farley import (
     DescendingLink,
+    LinkVertex,
     SFVertex,
+    _faces,
     descending_link,
     is_viral,
     link_connectivity_report,
@@ -95,12 +100,16 @@ def test_descending_link_vertex_cap(loop33: System):
         descending_link(xv(3, (7, 7)), loop33.table, loop33.base, max_vertices=100)
 
 
-def test_oracle_equivalence_small_heights(loop33: System):
-    for h in (6, 10):
-        for x in sf_vertices_at_height(h, loop33.table, loop33.base):
-            fast = descending_link(x, loop33.table, loop33.base)
-            slow = oracle_descending_link(x, loop33.g, loop33.gs, loop33.t0)
-            assert links_equal(fast, slow)
+def test_oracle_equivalence_small_heights(loop33: System, amalgam33: System):
+    nonempty = 0
+    for sys, heights in ((loop33, (6, 10)), (amalgam33, (6,))):
+        for h in heights:
+            for x in sf_vertices_at_height(h, sys.table, sys.base):
+                fast = descending_link(x, sys.table, sys.base)
+                slow = oracle_descending_link(x, sys.g, sys.gs, sys.t0)
+                assert links_equal(fast, slow)
+                nonempty += bool(fast.vertices)
+    assert nonempty == 2  # loop(3,3) h10 (200 vertices), amalgam(3,3) h6 (15)
 
 
 def test_oracle_equivalence_bs23_aug_base(bs23_aug: System):
@@ -155,3 +164,91 @@ def test_link_report_json_schema(loop33: System):
     assert set(data) >= {"x", "height", "f_vector", "betti", "thresholds", "caveats"}
     assert data["thresholds"][0]["beta"] == 5
     assert data["thresholds"][0]["C"] == 16
+
+
+# -- the face generator against the definition -----------------------------
+
+
+def brute_faces(mu, M, leaves) -> list[frozenset]:
+    """Every set of pairwise slot-disjoint single-caret vertices whose
+    caret types make up the multiset mu, straight from the definition."""
+    k = len(leaves)
+    verts = sorted(
+        LinkVertex(j, choice)
+        for j in range(k)
+        for choice in itertools.product(
+            *(itertools.combinations(range(leaves[i]), M[i][j]) for i in range(k))
+        )
+    )
+    found = []
+
+    def grow(start, chosen, left):
+        if not any(left):
+            found.append(frozenset(chosen))
+            return
+        for idx in range(start, len(verts)):
+            v = verts[idx]
+            if left[v.caret_type] and all(
+                not set(v.slots[i]) & set(u.slots[i]) for u in chosen for i in range(k)
+            ):
+                grow(idx + 1, chosen + [v], [n - (t == v.caret_type) for t, n in enumerate(left)])
+
+    grow(0, [], list(mu))
+    return found
+
+
+def test_faces_match_definition(loop33: System, amalgam33: System):
+    cases = [
+        (loop33.table.M, (5, 5)),
+        (amalgam33.table.M, (9,)),
+        (((2, 1), (1, 1)), (5, 4)),
+        # type 2 has no type-1 leaves, so its carets are ordered by type-2 slots
+        (((1, 0, 1), (1, 2, 0), (0, 1, 1)), (3, 4, 2)),
+    ]
+    nonempty = 0
+    for M, leaves in cases:
+        k = len(leaves)
+        for size in range(1, 5):
+            for combo in itertools.combinations_with_replacement(range(k), size):
+                mu = tuple(combo.count(j) for j in range(k))
+                got = list(_faces(mu, SimpleNamespace(M=M), leaves))
+                assert all(list(f) == sorted(set(f)) for f in got)  # strictly increasing
+                counts = Counter(frozenset(f) for f in got)
+                assert set(counts.values()) <= {1}, (M, leaves, mu)
+                assert set(counts) == set(brute_faces(mu, M, leaves)), (M, leaves, mu)
+                nonempty += bool(got)
+    assert nonempty >= 20
+
+
+def closed_form(mu, M, leaves) -> int:
+    """prod_i L_i! / ((L_i - u_i)! prod_j (M_ij!)^mu_j) / prod_j mu_j!,
+    with u_i = sum_j mu_j M_ij."""
+    k = len(leaves)
+    num, den = 1, 1
+    for i in range(k):
+        u = sum(mu[j] * M[i][j] for j in range(k))
+        num *= math.factorial(leaves[i])
+        den *= math.factorial(leaves[i] - u)
+        den *= math.prod(math.factorial(M[i][j]) ** mu[j] for j in range(k))
+    den *= math.prod(math.factorial(n) for n in mu)
+    assert num % den == 0
+    return num // den
+
+
+def test_face_counts_match_closed_form(loop33: System, amalgam33: System):
+    cases = [
+        (loop33, 10, (200,)),
+        (loop33, 14, (1470, 73500)),
+        (amalgam33, 9, (126, 315)),
+        (amalgam33, 12, (495, 17325, 5775)),
+    ]
+    for sys, h, f_vector in cases:
+        (x,) = sf_vertices_at_height(h, sys.table, sys.base)
+        link = descending_link(x, sys.table, sys.base)
+        assert link.f_vector == f_vector
+        k = len(x.counts.leaves)
+        types = [v.caret_type for v in link.vertices]
+        for faces in [[(i,) for i in range(len(types))], *link.higher_faces]:
+            by_mu = Counter(tuple(sum(types[i] == j for i in f) for j in range(k)) for f in faces)
+            for mu, n in by_mu.items():
+                assert n == closed_form(mu, sys.table.M, x.counts.leaves), (h, mu)
