@@ -13,7 +13,7 @@ import json
 import sys
 from pathlib import Path
 
-from .count_algebra import thresholds as compute_thresholds
+from .count_algebra import DEFAULT_DICKSON_BOX, thresholds as compute_thresholds
 from .errors import (
     CapExceeded,
     GogError,
@@ -32,6 +32,8 @@ from .model import (
     tree_degrees,
 )
 from .patches import (
+    DEFAULT_REPAIR_BUDGET,
+    DEFAULT_TREE_BUDGET,
     base_tree,
     caret_table,
     check_viral,
@@ -46,6 +48,7 @@ from .simplicial import (
 )
 from .stein_farley import (
     CSV_HEADER,
+    DEFAULT_LINK_VERTEX_CAP,
     descending_link,
     link_connectivity_report,
     link_difference,
@@ -377,7 +380,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("file")
     _add_gate_flags(p)
     _add_tree_flags(p)
-    p.add_argument("--repair-budget", type=int, default=32)
+    p.add_argument("--repair-budget", type=int, default=DEFAULT_REPAIR_BUDGET)
     p.set_defaults(func=_cmd_viral)
 
     p = sub.add_parser("enumerate", help="enumerate admissible trees from the base tree")
@@ -385,7 +388,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_gate_flags(p)
     _add_tree_flags(p)
     p.add_argument("--max-expansions", type=int, required=True)
-    p.add_argument("--max-trees", type=int, default=200_000)
+    p.add_argument("--max-trees", type=int, default=DEFAULT_TREE_BUDGET)
     p.add_argument("--dot", action="store_true", help="also emit the base tree as DOT")
     p.set_defaults(func=_cmd_enumerate)
 
@@ -403,9 +406,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--height", type=int, required=True)
     p.add_argument("--oracle", action="store_true", help="cross-check against the tree-level oracle")
     p.add_argument("--m-max", type=int, default=0)
-    p.add_argument("--max-link-vertices", type=int, default=100_000)
-    p.add_argument("--max-trees", type=int, default=200_000)
-    p.add_argument("--dickson-box", type=int, default=64)
+    p.add_argument("--max-link-vertices", type=int, default=DEFAULT_LINK_VERTEX_CAP)
+    p.add_argument("--max-trees", type=int, default=DEFAULT_TREE_BUDGET)
+    p.add_argument("--dickson-box", type=int, default=DEFAULT_DICKSON_BOX)
     p.set_defaults(func=_cmd_desclink)
 
     p = sub.add_parser("homology", help="integer homology of a complex JSON")
@@ -425,7 +428,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_gate_flags(p)
     _add_tree_flags(p)
     p.add_argument("-m", type=int, required=True)
-    p.add_argument("--dickson-box", type=int, default=64)
+    p.add_argument("--dickson-box", type=int, default=DEFAULT_DICKSON_BOX)
     p.set_defaults(func=_cmd_threshold)
 
     p = sub.add_parser("random-complex", help="seeded pseudorandom complex")
@@ -449,6 +452,8 @@ _MINIMUM = {
     "max_link_vertices": 0,
     "max_dim": 0,
     "dickson_box": 1,
+    "repair_budget": 0,
+    "vertices": 0,
 }
 
 

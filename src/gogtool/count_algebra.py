@@ -15,12 +15,15 @@ caret table only touches ``table.M`` (k x k rows) and ``table.I``
 from __future__ import annotations
 
 import itertools
+import operator
 from dataclasses import dataclass
 from typing import Callable, Iterator, Sequence
 
 from .errors import DicksonBoxExhausted, ValidationError
 
 Vec = tuple[int, ...]
+
+DEFAULT_DICKSON_BOX = 64
 
 
 @dataclass(frozen=True, order=True)
@@ -202,7 +205,7 @@ def _layer(total: int, dim: int, box: int) -> Iterator[Vec]:
 def dickson_minimal(
     pred: Callable[[Vec], bool],
     dim: int,
-    box: int = 64,
+    box: int = DEFAULT_DICKSON_BOX,
     description: str = "",
 ) -> DicksonBasis:
     """Minimal true points of a monotone predicate within [0, box]^dim.
@@ -259,42 +262,53 @@ def dickson_minimal(
 # -- the rearrangement predicate and its constants ------------------------
 
 
+def elementary_expansion_ok(c: CountVector, mu: Sequence[int], table, base: CountVector) -> bool:
+    """Count-level test: can a tree with counts ``c`` be rearranged into an
+    elementary expansion by the caret-type multiset ``mu`` (multiplicity
+    per type)?
+
+    True iff the residual counts (subtract each caret's interior and leaf
+    contribution) keep at least the base interior, leave at least mu[t]
+    leaves of every type t to attach the carets to (so none is negative),
+    and are realizable.  Assumes the viral property.
+    """
+    res_i = c.interior - sum(map(operator.mul, table.I, mu))
+    # a caret of type j removes its M[i][j] type-i leaves and restores
+    # the type-j leaf it was attached at
+    res_l = tuple(
+        l + m - sum(map(operator.mul, row, mu)) for l, m, row in zip(c.leaves, mu, table.M)
+    )
+    return (
+        res_i >= base.interior
+        and all(l >= m for l, m in zip(res_l, mu))
+        and bool(realizable(CountVector(res_i, res_l), table, base, viral=True))
+    )
+
+
 def elementary_expansion_predicate(
     rho: Sequence[int], table, base: CountVector
 ) -> Callable[[Vec], bool]:
-    """Count-level test: can a tree with history N be rearranged into an
-    elementary expansion by the caret-type multiset ``rho``?
-
-    True iff the residual counts (subtract each caret's interior and leaf
-    contribution) are realizable and leave at least multiplicity-many
-    leaves of every type in ``rho`` to attach the carets to.  Assumes the
-    viral property, under which the predicate is upward closed.
+    """``elementary_expansion_ok`` as a predicate on histories N, for the
+    caret collection ``rho`` (a list of caret types).  Under the viral
+    property the predicate is upward closed.
     """
     k = _check_dims(table, base)
-    rho = tuple(sorted(rho))
+    rho = tuple(rho)
     if not rho:
         raise ValidationError("the caret collection must be nonempty")
     if any(j < 0 or j >= k for j in rho):
         raise ValidationError("unknown caret type in collection")
-    mm = expansion_matrix(table)
     mult = tuple(rho.count(j) for j in range(k))
-    d_interior = sum(table.I[j] for j in rho)
-    d_leaves = tuple(sum(mm[i][j] for j in rho) for i in range(k))
 
     def pred(n: Vec) -> bool:
-        c = predict_counts(History(tuple(n)), table, base)
-        res_i = c.interior - d_interior
-        res_l = tuple(c.leaves[i] - d_leaves[i] for i in range(k))
-        if res_i < base.interior or any(l < 0 for l in res_l):
-            return False
-        if any(res_l[i] < mult[i] for i in range(k)):
-            return False
-        return bool(realizable(CountVector(res_i, res_l), table, base, viral=True))
+        return elementary_expansion_ok(
+            predict_counts(History(tuple(n)), table, base), mult, table, base
+        )
 
     return pred
 
 
-def alpha(rho: Sequence[int], i: int, table, base: CountVector, box: int = 64) -> int:
+def alpha(rho: Sequence[int], i: int, table, base: CountVector, box: int = DEFAULT_DICKSON_BOX) -> int:
     """The i-th coordinate bound for subhistories rearranging to an
     elementary ``rho``-expansion: the max i-th coordinate over the minimal
     elements of the rearrangement predicate.
@@ -372,7 +386,7 @@ class Thresholds:
         }
 
 
-def thresholds(m: int, table, base: CountVector, box: int = 64) -> Thresholds:
+def thresholds(m: int, table, base: CountVector, box: int = DEFAULT_DICKSON_BOX) -> Thresholds:
     """Assemble the connectivity threshold constants for height m."""
     if m < 0:
         raise ValidationError("m must be nonnegative")

@@ -1,24 +1,33 @@
 """Finite admissible subtrees of the local tree model.
 
-Instead of materialising the infinite tree, a patch stores a set of
-*addresses* in a deterministic ambient enumeration rooted at a chosen
-vertex: the children of a vertex are ordered by (half-edge, lift index),
-the edge to child ``(h, i)`` exits through half-edge ``h`` and is entered
-at the child through ``opp(h)``.  A patch is any prefix-closed address
-set in which every vertex is either a leaf or has full degree.  This
-gives patches value semantics, so unions, intersections and
-deduplication are plain set operations.
+Instead of materialising the infinite tree, a patch lives in a
+deterministic ambient enumeration rooted at a chosen vertex: the
+children of a vertex are ordered by (half-edge, lift index), the edge to
+child ``(h, i)`` exits through half-edge ``h`` and is entered at the
+child through ``opp(h)``, so a vertex is named by its *address*, the
+tuple of steps from the root.
 
-Admissible patches additionally have every leaf entered through a gate.
-The root of an admissible patch is always interior here; base trees are
-grown from vertex seeds, so this costs nothing at desk scale.
+Every vertex of a patch is either a leaf or has all its children, so a
+patch is fixed by its set of interior addresses, and that set is all it
+stores: any prefix-closed set of addresses whose steps are child steps
+of their parents.  The nodes are the interior plus the children of
+interior vertices (the bare root when the interior is empty).  A vertex
+is interior in a union or intersection of two patches exactly when it is
+interior in one or in both of them, so unions, intersections, containment
+and deduplication are plain set operations on interior sets, which are
+several times smaller than node sets.
+
+Admissible patches additionally have every leaf entered through a gate,
+so their root is always interior.  The canonical order of patches
+(``sort_key``) still compares sorted node tuples: it fixes the row order
+of enumeration reports, which stays as it was.
 """
 
 from __future__ import annotations
 
 import itertools
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 
 from .count_algebra import CountVector, History
@@ -34,8 +43,9 @@ from .model import GraphOfGroups, HalfEdge
 
 Step = tuple[HalfEdge, int]
 Address = tuple[Step, ...]
+Leaf = tuple[Address, HalfEdge | None]
 
-DEFAULT_NODE_BUDGET = 1_000_000
+NODE_BUDGET = 1_000_000
 DEFAULT_TREE_BUDGET = 200_000
 DEFAULT_REPAIR_BUDGET = 32
 
@@ -78,7 +88,7 @@ class TreeSystem:
                 f"witness entry-state cycle: [{cyc}]"
             )
 
-    # hot-path caches: label, entry and child capacity depend only on the
+    # hot-path tables: label, entry and child steps depend only on the
     # last step of an address
 
     @cached_property
@@ -90,17 +100,23 @@ class TreeSystem:
         return out
 
     @cached_property
-    def _index(self) -> dict[HalfEdge, int]:
-        return {h: self.graph.index(h) for h in self.graph.half_edges()}
+    def _child_steps(self) -> dict[HalfEdge | None, dict[Step, HalfEdge]]:
+        # keyed by entry half-edge, which fixes the label (None: the root);
+        # a vertex has index(h) lifts of each half-edge h at its label, one
+        # fewer for the half-edge it was entered through
+        g = self.graph
+        targets = self._step_targets
 
-    @cached_property
-    def _full_counts(self) -> dict[tuple[str, HalfEdge | None], int]:
-        out: dict[tuple[str, HalfEdge | None], int] = {}
-        for v in self.graph.vertices:
-            total = sum(self._index[h] for h in self.graph.halfedges_at(v))
-            out[(v, None)] = total
-            for h in self.graph.halfedges_at(v):
-                out[(v, h)] = total - 1
+        def steps(label: str, entry: HalfEdge | None) -> dict[Step, HalfEdge]:
+            return {
+                (h, i): targets[h][1]
+                for h in g.halfedges_at(label)
+                for i in range(g.index(h) - (h == entry))
+            }
+
+        out = {None: steps(self.root, None)}
+        for h in g.half_edges():
+            out[h] = steps(g.vertex_of(h), h)
         return out
 
     def label_of(self, addr: Address) -> str:
@@ -113,132 +129,110 @@ class TreeSystem:
             return None
         return self._step_targets[addr[-1][0]][1]
 
-    def full_child_count(self, addr: Address) -> int:
-        """Number of children an interior vertex at this address has."""
-        return self._full_counts[(self.label_of(addr), self.entry_of(addr))]
+    def child_steps(self, addr: Address) -> dict[Step, HalfEdge]:
+        """The steps to the children of the vertex at ``addr``, in
+        enumeration order, each mapped to the child's entry half-edge."""
+        return self._child_steps[self.entry_of(addr)]
+
+
+def _leaves(system: TreeSystem, interior: frozenset[Address] | set[Address]) -> list[Leaf]:
+    """Leaves of the patch with this interior set, with their entry
+    half-edges, in no particular order: the children of interior vertices
+    that are not interior, or the bare root (entry None) when the interior
+    is empty."""
+    if not interior:
+        return [((), None)]
+    out = []
+    for a in interior:
+        for step, entry in system.child_steps(a).items():
+            child = a + (step,)
+            if child not in interior:
+                out.append((child, entry))
+    return out
 
 
 @dataclass(frozen=True)
 class TreePatch:
-    """A finite subtree of the ambient model, with value semantics.
-
-    ``marked`` is an optional set of distinguished vertices (used to pin a
-    finite vertex set into the base tree); it has no behavioural effect.
-    """
+    """A finite subtree of the ambient model, stored by its interior
+    addresses, with value semantics."""
 
     system: TreeSystem
-    nodes: frozenset[Address]
-    marked: frozenset[Address] = frozenset()
+    interior: frozenset[Address]
 
     def __post_init__(self):
-        if () not in self.nodes:
-            raise ValidationError("a patch must contain its root address ()")
         system = self.system
-        index = system._index
-        nodes = self.nodes
-        for addr in nodes:
+        interior = self.interior
+        for addr in interior:
             if not addr:
                 continue
             parent = addr[:-1]
-            if parent not in nodes:
-                raise ValidationError(f"patch is not prefix-closed at {addr}")
-            h, i = addr[-1]
-            plabel = system.label_of(parent)
-            if system.graph.vertex_of(h) != plabel:
-                raise ValidationError(f"step {h} is not a half-edge at vertex {plabel!r}")
-            cap = index[h] - (1 if h == system.entry_of(parent) else 0)
-            if not 0 <= i < cap:
+            if parent not in interior:
+                raise ValidationError(f"interior set is not prefix-closed at {addr}")
+            if addr[-1] not in system.child_steps(parent):
+                h, i = addr[-1]
                 raise ValidationError(
-                    f"lift index {i} out of range for slot {h} (capacity {cap})"
-                )
-        if not self.marked <= self.nodes:
-            raise ValidationError("marked vertices must belong to the patch")
-        for addr, n in self._child_counts.items():
-            if n == 0:
-                continue
-            full = system.full_child_count(addr)
-            if n != full and not (addr == () and n == 1):
-                raise ValidationError(
-                    f"vertex at {addr} is neither a leaf nor interior "
-                    f"({n} of {full} children present)"
+                    f"step {h}[{i}] is not a child step of the vertex at {parent} "
+                    f"(label {system.label_of(parent)!r})"
                 )
 
     # -- structure ---------------------------------------------------------
 
     @cached_property
-    def _child_counts(self) -> dict[Address, int]:
-        counts: dict[Address, int] = {addr: 0 for addr in self.nodes}
-        for addr in self.nodes:
-            if addr:
-                counts[addr[:-1]] += 1
-        return counts
+    def _leaf_list(self) -> list[Leaf]:
+        return _leaves(self.system, self.interior)
+
+    @cached_property
+    def nodes(self) -> frozenset[Address]:
+        """The interior plus its leaves."""
+        return self.interior.union(a for a, _ in self._leaf_list)
 
     @property
     def size(self) -> int:
-        return len(self.nodes)
+        return len(self.interior) + len(self._leaf_list)
 
     def is_graph_leaf(self, addr: Address) -> bool:
-        n = self._child_counts[addr]
-        return n == 0 if addr else n <= 1
+        return addr in self.nodes and addr not in self.interior
 
-    def is_interior(self, addr: Address) -> bool:
-        return not self.is_graph_leaf(addr)
-
-    @cached_property
-    def _leaves(self) -> tuple[tuple[Address, HalfEdge | None], ...]:
-        entry = self.system.entry_of
-        return tuple(
-            sorted(
-                (addr, entry(addr))
-                for addr, n in self._child_counts.items()
-                if (n == 0 if addr else n <= 1)
-            )
-        )
-
-    def leaves(self) -> tuple[tuple[Address, HalfEdge | None], ...]:
-        """All graph leaves with their entry half-edges (None at the root)."""
-        return self._leaves
+    def leaves(self) -> tuple[Leaf, ...]:
+        """All graph leaves, sorted, with their entry half-edges (None at
+        the root)."""
+        return tuple(sorted(self._leaf_list))
 
     def typed_leaves(self) -> list[tuple[Address, HalfEdge]]:
         """Leaves whose entry half-edge is a gate, i.e. admissible leaves."""
         gs = self.system.gates
-        return [(a, e) for a, e in self._leaves if e is not None and e in gs]
-
-    @cached_property
-    def interior_addresses(self) -> frozenset[Address]:
-        return frozenset(a for a in self.nodes if self.is_interior(a))
+        return [(a, e) for a, e in self.leaves() if e in gs]
 
     @cached_property
     def _admissible(self) -> bool:
         gate_index = self.system.gates._index
-        return all(e is not None and e in gate_index for _, e in self._leaves)
+        return all(e in gate_index for _, e in self._leaf_list)
 
     def is_admissible(self) -> bool:
         return self._admissible
 
     def require_admissible(self, what: str = "patch") -> None:
         if not self.is_admissible():
-            bad = [(a, e) for a, e in self.leaves() if e is None or e not in self.system.gates]
+            bad = [(a, e) for a, e in self.leaves() if e not in self.system.gates]
             raise ValidationError(f"{what} is not admissible; bad leaves: {bad[:3]}")
 
     @cached_property
     def _counts(self) -> CountVector:
         gs = self.system.gates
-        census = Counter(e for _, e in self._leaves if e is not None and e in gs)
+        census = Counter(e for _, e in self._leaf_list if e in gs)
         leaves = tuple(census.get(h, 0) for h in gs.gates)
-        return CountVector(len(self.nodes) - len(self._leaves), leaves)
+        return CountVector(len(self.interior), leaves)
 
     def counts(self) -> CountVector:
         """Interior count and typed-leaf census.
 
         Leaves without a gate entry (possible only on non-admissible
-        patches, e.g. the attach end of a standalone caret) are not counted
-        in L.
+        patches) are not counted in L.
         """
         return self._counts
 
     def contains(self, other: "TreePatch") -> bool:
-        return self.system == other.system and other.nodes <= self.nodes
+        return self.system == other.system and other.interior <= self.interior
 
     def sort_key(self):
         return (len(self.nodes), tuple(sorted(self.nodes)))
@@ -247,91 +241,57 @@ class TreePatch:
 # -- growth --------------------------------------------------------------
 
 
-def _expand_vertex(
-    system: TreeSystem,
-    present: frozenset[Address] | set[Address],
-    addr: Address,
-    entry: HalfEdge | None,
-    node_budget: int = DEFAULT_NODE_BUDGET,
-) -> set[Address]:
-    """Addresses of the minimal forced completion below ``addr``.
+def _expand_vertex(system: TreeSystem, addr: Address, entry: HalfEdge | None) -> set[Address]:
+    """Interior addresses of the minimal forced completion below ``addr``.
 
-    Makes ``addr`` interior and recursively expands every new vertex whose
-    entry half-edge is not a gate.  Children already in ``present`` are
-    kept as they are.  Termination is exactly admissibility of the gate
-    system, which is checked up front.
+    Makes ``addr`` interior and recursively expands every child whose
+    entry half-edge is not a gate.  Termination is exactly admissibility
+    of the gate system, which is checked up front.
     """
     system.require_admissible()
-    g = system.graph
     gate_index = system.gates._index
-    index = system._index
-    targets = system._step_targets
+    table = system._child_steps
     new: set[Address] = set()
-    stack: list[tuple[Address, str, HalfEdge | None]] = [
-        (addr, system.label_of(addr), entry)
-    ]
+    grown = 0
+    stack: list[tuple[Address, HalfEdge | None]] = [(addr, entry)]
     while stack:
-        a, label, ent = stack.pop()
-        for h in g.halfedges_at(label):
-            cap = index[h] - (1 if h == ent else 0)
-            child_label, child_entry = targets[h]
-            recurse = child_entry not in gate_index
-            for i in range(cap):
-                child = a + ((h, i),)
-                if child in present or child in new:
-                    continue
-                new.add(child)
-                if recurse:
-                    stack.append((child, child_label, child_entry))
-        if len(new) > node_budget:
+        a, ent = stack.pop()
+        new.add(a)
+        children = table[ent]
+        grown += len(children)
+        if grown > NODE_BUDGET:
             raise CapExceeded(
-                f"growth below {addr} exceeded the node budget of {node_budget}"
+                f"growth below {addr} exceeded the node budget of {NODE_BUDGET}"
             )
+        for step, child_entry in children.items():
+            if child_entry not in gate_index:
+                stack.append((a + (step,), child_entry))
     return new
 
 
-def base_tree(
-    g: GraphOfGroups,
-    gs: GateSystem,
-    seed: "TreePatch | str",
-    node_budget: int = DEFAULT_NODE_BUDGET,
-) -> TreePatch:
+def base_tree(g: GraphOfGroups, gs: GateSystem, seed: "TreePatch | str") -> TreePatch:
     """The minimal admissible patch containing the seed.
 
     The seed is either an existing patch or a vertex id (which roots the
     ambient enumeration).  Every leaf that is not entered through a gate,
-    including a bare or partial root, is expanded recursively; a seed that
-    is already admissible comes back unchanged.
+    including a bare root, is expanded; completions leave only gate-entry
+    leaves, so one pass suffices, and a seed that is already admissible
+    comes back unchanged.
     """
     if isinstance(seed, TreePatch):
         if seed.system.graph != g or seed.system.gates != gs:
             raise ValidationError("seed patch belongs to a different system")
         system = seed.system
-        nodes: set[Address] = set(seed.nodes)
-        marked = seed.marked
+        interior = seed.interior
     else:
         system = TreeSystem(g, gs, root=seed)
-        nodes = {()}
-        marked = frozenset()
+        interior = frozenset()
     system.require_admissible()
-
-    while True:
-        parents = {a[:-1] for a in nodes if a}
-        root_children = sum(1 for a in nodes if len(a) == 1)
-        bad: list[tuple[Address, HalfEdge | None]] = []
-        for a in nodes:
-            if a:
-                if a not in parents:
-                    e = system.entry_of(a)
-                    if e not in gs:
-                        bad.append((a, e))
-            elif root_children <= 1:
-                bad.append(((), None))
-        if not bad:
-            break
-        for a, e in sorted(bad, key=lambda p: p[0]):
-            nodes |= _expand_vertex(system, nodes, a, e, node_budget)
-    return TreePatch(system, frozenset(nodes), marked)
+    grown = set(interior)
+    for a, e in _leaves(system, interior):
+        if e not in gs:
+            grown |= _expand_vertex(system, a, e)
+    return TreePatch(system, frozenset(grown))
 
 
 # -- carets ----------------------------------------------------------------
@@ -339,15 +299,10 @@ def base_tree(
 
 @dataclass(frozen=True)
 class Caret:
-    """The unique minimal expansion beyond a leaf of a given gate type.
-
-    The patch is rooted at the outer end of the attach edge, which is
-    therefore an untyped leaf; everything else is the grown material.
-    """
+    """The unique minimal expansion beyond a leaf of a given gate type:
+    its terminal-leaf census by entry half-edge and its interior count."""
 
     gate: HalfEdge
-    patch: TreePatch
-    attach_edge: tuple[Address, Address]
     terminal_leaf_types: tuple[tuple[HalfEdge, int], ...]
     interior_count: int
 
@@ -355,29 +310,25 @@ class Caret:
         return sum(n for _, n in self.terminal_leaf_types)
 
 
-def caret(g: GraphOfGroups, gs: GateSystem, nu: HalfEdge, node_budget: int = DEFAULT_NODE_BUDGET) -> Caret:
+def caret(g: GraphOfGroups, gs: GateSystem, nu: HalfEdge) -> Caret:
     """Grow the caret of gate type ``nu``.
 
-    The leaf vertex is expanded to full degree and every new leaf whose
-    entry is not a gate is expanded in turn; growth terminates exactly
-    when the gate system is admissible, which is checked up front.
+    The caret grows below the child ``((opp(nu), 0),)`` of a root at
+    ``vertex_of(opp(nu))``, which is entered through ``nu``: that vertex
+    is expanded to full degree and every new leaf whose entry is not a
+    gate is expanded in turn; growth terminates exactly when the gate
+    system is admissible, which is checked up front.
     """
     if nu not in gs:
         raise ValidationError(f"{nu} is not a gate of the system")
-    root_label = g.vertex_of(nu.opposite())
-    system = TreeSystem(g, gs, root=root_label)
+    system = TreeSystem(g, gs, root=g.vertex_of(nu.opposite()))
     system.require_admissible()
-    child: Address = ((nu.opposite(), 0),)
-    nodes = {(), child}
-    nodes |= _expand_vertex(system, nodes, child, nu, node_budget)
-    patch = TreePatch(system, frozenset(nodes))
-    census = Counter(e for a, e in patch.leaves() if a != () and e is not None)
+    interior = _expand_vertex(system, ((nu.opposite(), 0),), nu)
+    census = Counter(e for _, e in _leaves(system, interior))
     return Caret(
         gate=nu,
-        patch=patch,
-        attach_edge=((), child),
         terminal_leaf_types=tuple(sorted(census.items())),
-        interior_count=len(patch.interior_addresses),
+        interior_count=len(interior),
     )
 
 
@@ -409,9 +360,9 @@ class CaretTable:
         }
 
 
-def caret_table(g: GraphOfGroups, gs: GateSystem, node_budget: int = DEFAULT_NODE_BUDGET) -> CaretTable:
+def caret_table(g: GraphOfGroups, gs: GateSystem) -> CaretTable:
     """Assemble M and I column-wise from the carets of all gate types."""
-    carets = tuple(caret(g, gs, nu, node_budget) for nu in gs.gates)
+    carets = tuple(caret(g, gs, nu) for nu in gs.gates)
     k = gs.k
     m_rows = tuple(
         tuple(dict(carets[j].terminal_leaf_types).get(gs.gates[i], 0) for j in range(k))
@@ -423,7 +374,7 @@ def caret_table(g: GraphOfGroups, gs: GateSystem, node_budget: int = DEFAULT_NOD
 # -- expansions, histories, counts ----------------------------------------
 
 
-def expand_leaf(t: TreePatch, leaf: Address, node_budget: int = DEFAULT_NODE_BUDGET) -> TreePatch:
+def expand_leaf(t: TreePatch, leaf: Address) -> TreePatch:
     """Attach the caret of the leaf's type at the leaf; exact bookkeeping:
     interior count grows by I_type and leaf counts by (M - Id) e_type."""
     if leaf not in t.nodes:
@@ -431,10 +382,9 @@ def expand_leaf(t: TreePatch, leaf: Address, node_budget: int = DEFAULT_NODE_BUD
     if not t.is_graph_leaf(leaf):
         raise ValidationError(f"address {leaf} is not a leaf")
     entry = t.system.entry_of(leaf)
-    if entry is None or entry not in t.system.gates:
+    if entry not in t.system.gates:
         raise ValidationError(f"leaf {leaf} has no gate type (entry {entry})")
-    new = _expand_vertex(t.system, t.nodes, leaf, entry, node_budget)
-    return TreePatch(t.system, t.nodes | new, t.marked)
+    return TreePatch(t.system, t.interior | _expand_vertex(t.system, leaf, entry))
 
 
 def history(t: TreePatch, t0: TreePatch) -> History:
@@ -446,18 +396,15 @@ def history(t: TreePatch, t0: TreePatch) -> History:
     """
     if t.system != t0.system:
         raise ValidationError("patches come from incompatible enumerations")
-    if not t0.nodes <= t.nodes:
+    if not t0.interior <= t.interior:
         raise ValidationError("t0 is not a subtree of t")
     t0.require_admissible("t0")
     t.require_admissible("t")
     gs = t.system.gates
     n = [0] * gs.k
-    t0_interior = t0.interior_addresses
-    for addr in t.interior_addresses:
-        if addr in t0_interior:
-            continue
+    for addr in t.interior - t0.interior:
         e = t.system.entry_of(addr)
-        if e is not None and e in gs:
+        if e in gs:
             n[gs.type_index(e)] += 1
     return History(tuple(n))
 
@@ -467,7 +414,7 @@ def tree_union(t1: TreePatch, t2: TreePatch) -> TreePatch:
         raise ValidationError("patches come from incompatible enumerations")
     t1.require_admissible("first patch")
     t2.require_admissible("second patch")
-    out = TreePatch(t1.system, t1.nodes | t2.nodes, (t1.marked | t2.marked))
+    out = TreePatch(t1.system, t1.interior | t2.interior)
     if not out.is_admissible():
         raise InvariantViolation("union of admissible patches is not admissible")
     return out
@@ -478,8 +425,7 @@ def tree_intersection(t1: TreePatch, t2: TreePatch) -> TreePatch:
         raise ValidationError("patches come from incompatible enumerations")
     t1.require_admissible("first patch")
     t2.require_admissible("second patch")
-    nodes = t1.nodes & t2.nodes
-    out = TreePatch(t1.system, nodes, (t1.marked | t2.marked) & nodes)
+    out = TreePatch(t1.system, t1.interior & t2.interior)
     if not out.is_admissible():
         raise InvariantViolation("intersection of admissible patches is not admissible")
     return out
@@ -488,56 +434,41 @@ def tree_intersection(t1: TreePatch, t2: TreePatch) -> TreePatch:
 # -- enumeration -----------------------------------------------------------
 
 
-def _typed_leaves_raw(system: TreeSystem, nodes: frozenset[Address]) -> list[tuple[Address, HalfEdge]]:
-    parents = {a[:-1] for a in nodes if a}
-    gate_index = system.gates._index
-    targets = system._step_targets
-    out = []
-    for a in nodes:
-        if a and a not in parents:
-            e = targets[a[-1][0]][1]
-            if e in gate_index:
-                out.append((a, e))
-    out.sort()
-    return out
-
-
 def enumerate_admissible(
     g: GraphOfGroups,
     gs: GateSystem,
     t0: TreePatch,
     max_expansions: int,
     max_trees: int = DEFAULT_TREE_BUDGET,
-    node_budget: int = DEFAULT_NODE_BUDGET,
 ) -> list[TreePatch]:
     """All admissible patches obtainable from t0 by at most ``max_expansions``
     leaf expansions, deduplicated by value.
 
     Two expansion sequences yield the same patch exactly when they expand
-    the same vertex multiset, so breadth-first search over node sets with
-    set-dedup is exact.
+    the same vertex multiset, so breadth-first search over interior sets
+    with set-dedup is exact.  Every leaf of an admissible patch has a gate
+    type, so every leaf is expandable.
     """
     if t0.system.graph != g or t0.system.gates != gs:
         raise ValidationError("t0 belongs to a different system")
     t0.require_admissible("t0")
     system = t0.system
-    seen: set[frozenset[Address]] = {t0.nodes}
-    frontier = [t0.nodes]
+    seen: set[frozenset[Address]] = {t0.interior}
+    frontier = [t0.interior]
     for _ in range(max_expansions):
         nxt: list[frozenset[Address]] = []
-        for nodes in frontier:
-            for leaf, entry in _typed_leaves_raw(system, nodes):
-                grown = nodes | _expand_vertex(system, nodes, leaf, entry, node_budget)
-                fz = frozenset(grown)
-                if fz not in seen:
-                    seen.add(fz)
+        for interior in frontier:
+            for leaf, entry in _leaves(system, interior):
+                grown = interior.union(_expand_vertex(system, leaf, entry))
+                if grown not in seen:
+                    seen.add(grown)
                     if len(seen) > max_trees:
                         raise CapExceeded(
                             f"enumeration exceeded the cap of {max_trees} trees"
                         )
-                    nxt.append(fz)
+                    nxt.append(grown)
         frontier = nxt
-    patches = [TreePatch(system, nodes, t0.marked) for nodes in seen]
+    patches = [TreePatch(system, interior) for interior in seen]
     patches.sort(key=TreePatch.sort_key)
     return patches
 
@@ -578,26 +509,22 @@ def interval_lattice(t: TreePatch, t_prime: TreePatch) -> IntervalLattice:
         raise ValidationError("patches come from incompatible enumerations")
     t.require_admissible("bottom")
     t_prime.require_admissible("top")
-    if not t.nodes <= t_prime.nodes:
+    if not t.interior <= t_prime.interior:
         raise ValidationError("top does not contain bottom")
 
-    top_parents = {a[:-1] for a in t_prime.nodes if a}
-    exp_leaves = [
-        (leaf, entry)
-        for leaf, entry in _typed_leaves_raw(t.system, t.nodes)
-        if leaf in top_parents
-    ]
-    materials: dict[Address, frozenset[Address]] = {}
+    materials: dict[Address, set[Address]] = {}
     covered: set[Address] = set()
-    for leaf, entry in exp_leaves:
-        mat = frozenset(_expand_vertex(t.system, t.nodes, leaf, entry))
-        if not mat <= t_prime.nodes:
+    for leaf, entry in _leaves(t.system, t.interior):
+        if leaf not in t_prime.interior:
+            continue
+        mat = _expand_vertex(t.system, leaf, entry)
+        if not mat <= t_prime.interior:
             raise InvariantViolation(
                 f"expansion of leaf {leaf} is not contained in the top patch"
             )
         materials[leaf] = mat
         covered |= mat
-    extra = t_prime.nodes - t.nodes - covered
+    extra = t_prime.interior - t.interior - covered
     if extra:
         raise ValidationError(
             "top is not an elementary expansion of bottom: it contains material "
@@ -607,10 +534,10 @@ def interval_lattice(t: TreePatch, t_prime: TreePatch) -> IntervalLattice:
     elements = []
     for r in range(len(leaves) + 1):
         for subset in itertools.combinations(leaves, r):
-            nodes = set(t.nodes)
+            interior = set(t.interior)
             for leaf in subset:
-                nodes |= materials[leaf]
-            elements.append(TreePatch(t.system, frozenset(nodes), t.marked))
+                interior |= materials[leaf]
+            elements.append(TreePatch(t.system, frozenset(interior)))
     elements.sort(key=TreePatch.sort_key)
     return IntervalLattice(t, t_prime, leaves, tuple(elements))
 
@@ -681,6 +608,8 @@ def check_viral(
     every remaining type has at least two leaves.  Failures are reported,
     not raised.
     """
+    if repair_budget < 0:
+        raise ValidationError(f"repair budget must be nonnegative, got {repair_budget}")
     t0.require_admissible("t0")
     if t0.system.graph != g or t0.system.gates != gs:
         raise ValidationError("t0 belongs to a different system")
@@ -714,7 +643,7 @@ def check_viral(
             trace.append("repair failed: reduced gate system is inadmissible")
         else:
             system2 = TreeSystem(g, gs2, t0.system.root)
-            t2 = TreePatch(system2, t0.nodes, t0.marked)
+            t2 = TreePatch(system2, t0.interior)
             table2 = caret_table(g, gs2) if drop_idx else table
             if any(table2.M[i][i] < 3 for i in range(gs2.k)):
                 raise InvariantViolation(

@@ -27,16 +27,17 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cache, cached_property
 
 from .count_algebra import (
+    DEFAULT_DICKSON_BOX,
     NOTE_BEYOND_CAPS,
     NOTE_HOMOLOGY_PROXY,
     CountVector,
     History,
+    elementary_expansion_ok,
     expansion_matrix,
     predict_counts,
-    realizable,
     thresholds as compute_thresholds,
     weighted_vectors,
 )
@@ -44,6 +45,7 @@ from .errors import CapExceeded, ValidationError
 from .gates import GateSystem
 from .model import GraphOfGroups
 from .patches import (
+    DEFAULT_TREE_BUDGET,
     CaretTable,
     TreePatch,
     _expand_vertex,
@@ -105,7 +107,7 @@ def sf_vertices_at_height_enumerated(
     gs: GateSystem,
     t0: TreePatch,
     max_expansions: int,
-    max_trees: int = 200_000,
+    max_trees: int = DEFAULT_TREE_BUDGET,
 ) -> tuple[SFVertex, ...]:
     """Fallback for non-viral systems: read count classes off an explicit
     bounded tree enumeration (complete only within the expansion bound)."""
@@ -177,35 +179,9 @@ class DescendingLink:
 
 
 def _residual_checker(x: SFVertex, table: CaretTable, base: CountVector):
-    """Memoised face predicate on caret-type multisets.
-
-    A multiset mu is allowed iff the residual counts after removing the
-    carets are realizable and keep at least mu[t] leaves of every type t
-    (the contracted tree needs a leaf of the right type per caret).
-    """
-    k = len(table.I)
-    mm = expansion_matrix(table)
-    leaves, interior = x.counts.leaves, x.counts.interior
-    cache: dict[tuple[int, ...], bool] = {}
-
-    def ok(mu: tuple[int, ...]) -> bool:
-        got = cache.get(mu)
-        if got is not None:
-            return got
-        res_i = interior - sum(table.I[j] * mu[j] for j in range(k))
-        res_l = tuple(
-            leaves[i] - sum(mm[i][j] * mu[j] for j in range(k)) for i in range(k)
-        )
-        good = (
-            res_i >= base.interior
-            and all(l >= 0 for l in res_l)
-            and all(res_l[t] >= mu[t] for t in range(k))
-            and bool(realizable(CountVector(res_i, res_l), table, base, viral=True))
-        )
-        cache[mu] = good
-        return good
-
-    return ok
+    """``elementary_expansion_ok`` at the counts of x, memoised on the
+    caret-type multiset mu."""
+    return cache(lambda mu: elementary_expansion_ok(x.counts, mu, table, base))
 
 
 def _faces(mu: tuple[int, ...], table: CaretTable, leaves: tuple[int, ...]):
@@ -320,16 +296,13 @@ def _removable_carets(t: TreePatch, t0: TreePatch) -> list[tuple]:
     system = t.system
     gs = system.gates
     out = []
-    for addr in sorted(t.interior_addresses):
-        if addr in t0.interior_addresses:
-            continue
+    for addr in sorted(t.interior - t0.interior):
         entry = system.entry_of(addr)
-        if entry is None or entry not in gs:
+        if entry not in gs:
             continue
         depth = len(addr)
-        below = {a for a in t.nodes if len(a) > depth and a[:depth] == addr}
-        material = _expand_vertex(system, frozenset(), addr, entry)
-        if below == material:
+        below = {a for a in t.interior if a[:depth] == addr}
+        if below == _expand_vertex(system, addr, entry):
             out.append((addr, gs.type_index(entry)))
     return out
 
@@ -339,7 +312,7 @@ def oracle_descending_link(
     g: GraphOfGroups,
     gs: GateSystem,
     t0: TreePatch,
-    max_trees: int = 200_000,
+    max_trees: int = DEFAULT_TREE_BUDGET,
 ) -> DescendingLink:
     """Definition-level descending link via explicit tree enumeration.
 
@@ -435,7 +408,7 @@ def link_connectivity_report(
     link: DescendingLink | None = None,
     max_vertices: int = DEFAULT_LINK_VERTEX_CAP,
     lemma_cap: int = DEFAULT_LEMMA_CHECK_CAP,
-    dickson_box: int = 64,
+    dickson_box: int = DEFAULT_DICKSON_BOX,
 ) -> LinkReport:
     """Homology of the descending link juxtaposed with the threshold
     constants, so below/above-threshold status is explicit.

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import subprocess
@@ -100,6 +101,17 @@ def test_enumerate(capsys):
     data = json.loads(out)
     assert data["total"] == 7
     assert data["by_height"] == {"6": 1, "10": 6}
+
+
+def test_enumerate_output_pinned(capsys):
+    # the row order comes from TreePatch.sort_key; any change shows here
+    code, out, _ = run(
+        capsys, "enumerate", str(DATA / "loop33.gog"), "--max-expansions", "2"
+    )
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == (
+        "aba294337bee1adcf403c53fd15dd9304d8c1548ea245cf23e53b755a3153393"
+    )
 
 
 def test_sf_heights(capsys):
@@ -243,6 +255,10 @@ BAD_INPUTS = {
     "negative max-dim": ["homology", "--in", "{tmp}/triangle.json", "--max-dim", "-1"],
     "dickson box 0": ["threshold", LOOP, "-m", "0", "--dickson-box", "0"],
     "dickson box 0, desclink": ["desclink", LOOP, "--height", "10", "--dickson-box", "0"],
+    "negative repair-budget": ["viral", str(DATA / "triple.gog"), "--repair-budget", "-1"],
+    "negative vertices": [
+        "random-complex", "--seed", "1", "--vertices", "-3", "--density", "0.5",
+    ],
 }
 
 
