@@ -277,16 +277,17 @@ def _cmd_homology(args) -> tuple[int, dict[str, str]]:
     return 0, {"homology.json": _dumps(report.to_json_dict())}
 
 
-def _parse_vertex_label(tok: str):
-    try:
-        return int(tok)
-    except ValueError:
-        return tok
-
-
 def _cmd_lemma_check(args) -> tuple[int, dict[str, str]]:
     cx = _load_complex(args.infile)
-    sigma = tuple(_parse_vertex_label(t) for t in args.sigma.split(","))
+    # read the labels in the complex's label type
+    sigma = tuple(args.sigma.split(","))
+    if cx.vertices and type(cx.vertices[0]) is int:
+        try:
+            sigma = tuple(int(t) for t in sigma)
+        except ValueError as exc:
+            raise ValidationError(
+                f"--sigma labels must be integers for this complex, got {args.sigma!r}"
+            ) from exc
     cb = lemma_connectivity_bound(cx, sigma, args.m, args.k)
     report = {
         "sigma": list(cb.sigma),

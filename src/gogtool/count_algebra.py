@@ -319,10 +319,17 @@ def alpha(rho: Sequence[int], i: int, table, base: CountVector, box: int = DEFAU
     k = _check_dims(table, base)
     if i < 0 or i >= k:
         raise ValidationError("gate type out of range")
+    return _alphas(rho, table, base, box, reported=i)[i]
+
+
+def _alphas(rho: Sequence[int], table, base: CountVector, box: int, reported: int = 0) -> Vec:
+    """alpha(rho, i) for every type i, read off one Dickson search; an
+    exhausted box reports the partial bound of type ``reported``."""
+    k = len(table.I)
     pred = elementary_expansion_predicate(rho, table, base)
     basis = dickson_minimal(pred, k, box, description=f"elementary expansion by {tuple(sorted(rho))}")
     if not basis.complete:
-        partial = max((b[i] for b in basis.minimal), default=0)
+        partial = max((b[reported] for b in basis.minimal), default=0)
         raise DicksonBoxExhausted(
             f"minimal-element search for rho={tuple(sorted(rho))} exhausted box {box}; "
             f"partial bound {partial}",
@@ -333,7 +340,7 @@ def alpha(rho: Sequence[int], i: int, table, base: CountVector, box: int = DEFAU
         raise ValidationError(
             f"collection {tuple(sorted(rho))} is never attachable; no finite bound"
         )
-    return max(b[i] for b in basis.minimal)
+    return tuple(max(b[i] for b in basis.minimal) for i in range(k))
 
 
 NOTE_BEYOND_CAPS = (
@@ -404,7 +411,7 @@ def thresholds(m: int, table, base: CountVector, box: int = DEFAULT_DICKSON_BOX)
 
     def alphas_for(rho: Vec) -> tuple[Vec, tuple[int, ...] | None]:
         try:
-            return rho, tuple(alpha(rho, i, table, base, box) for i in range(k))
+            return rho, _alphas(rho, table, base, box)
         except DicksonBoxExhausted:
             return rho, None
 

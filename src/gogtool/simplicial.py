@@ -7,6 +7,10 @@ over the integers: Smith normal form with a minimal-pivot strategy that
 guards coefficient blowup, and a components/loops shortcut for complexes
 of dimension <= 1.
 
+The checker's costly hypothesis, m-flag with respect to sigma, fails
+exactly when some minimal non-face B with 3 <= |B| <= m+1 meets sigma;
+then (B - sigma, B & sigma) is a violating pair.
+
 Connectivity is verified homologically plus path-connectedness.  That is
 a necessary condition for topological m-connectedness, not a proof of
 it; every report carries this caveat.
@@ -21,6 +25,9 @@ from functools import cached_property
 
 from .count_algebra import NOTE_HOMOLOGY_PROXY
 from .errors import CapExceeded, InvariantViolation, ValidationError
+
+PSEUDOFACE_SEARCH_CAP = 200_000  # (l-k)-pseudofaces tried per vertex
+HOMOLOGY_FACE_CAP = 2_000_000  # faces of dimension <= max_dim+1
 
 
 @dataclass(frozen=True)
@@ -137,46 +144,39 @@ class FlagCheck:
     counterexample: tuple[tuple, tuple] | None = None
 
 
-def _pseudosimplices_up_to(cx: SimplicialComplex, m: int, max_size: int) -> list[tuple]:
-    out = []
-    for size in range(1, max_size + 1):
-        for c in itertools.combinations(cx.vertices, size):
-            if is_m_pseudosimplex(cx, c, m):
-                out.append(c)
-    return out
-
-
 def is_m_flag_wrt(cx: SimplicialComplex, sigma, m: int) -> FlagCheck:
-    """Exhaustively check the flag condition for sigma.
+    """Decide the flag condition for sigma by minimal non-faces.
 
-    Quantifying over rho of size <= m+2 and pseudofaces tau of size <= m+1
-    is complete: a violation is a missing face B of size <= m+1 inside
-    rho union tau, and (B cap rho, B cap tau) is already a violating pair
-    within these caps.
+    A violation is an m-pseudosimplex rho and a pseudoface tau of sigma,
+    all cross pairs edges, with rho union tau no m-pseudosimplex.  One
+    exists iff a minimal non-face B with 3 <= |B| <= m+1 meets sigma:
+
+    * given (rho, tau), a minimal non-face B of size <= m+1 lies in rho
+      union tau, inside neither m-pseudosimplex, so it meets tau (hence
+      sigma) and rho - tau; |B| = 2 would make B a cross pair, an edge.
+    * given B, rho = B - sigma and tau = B & sigma are proper subsets of B
+      (B is not inside sigma), so faces, as is every cross pair, while
+      rho union tau = B is not.
+
+    B is searched by size, then sorted vertex tuple, so the counterexample
+    (sorted(B - sigma), sorted(B & sigma)) is the same in every run.
     """
-    sig = sorted(set(sigma))
+    sig = frozenset(sigma)
     if not is_m_pseudosimplex(cx, sig, m):
         raise ValidationError("sigma is not an m-pseudosimplex")
-    pair_faces = cx.faces_of_size(2)
-    single_faces = cx.faces_of_size(1)
-
-    def joined(a, b) -> bool:
-        if a == b:
-            return frozenset({a}) in single_faces
-        return frozenset({a, b}) in pair_faces
-
-    rhos = _pseudosimplices_up_to(cx, m, m + 2)
-    taus = [
-        c
-        for size in range(1, min(len(sig), m + 1) + 1)
-        for c in itertools.combinations(sig, size)
-    ]
-    for rho in rhos:
-        for tau in taus:
-            if not all(joined(a, b) for a in rho for b in tau):
-                continue
-            if not m_joinable(cx, rho, tau, m):
-                return FlagCheck(False, (rho, tau))
+    position = {v: i for i, v in enumerate(cx.vertices)}
+    for size in range(3, m + 2):
+        smaller = cx.faces_of_size(size - 1)
+        # a candidate B is a face of size-1 extended by a larger vertex
+        for face in sorted(tuple(sorted(f)) for f in smaller):
+            for v in cx.vertices[position[face[-1]] + 1:]:
+                b = frozenset(face + (v,))
+                if (
+                    b & sig
+                    and all(b - {u} in smaller for u in face)
+                    and not cx.is_face(b)
+                ):
+                    return FlagCheck(False, (tuple(sorted(b - sig)), tuple(sorted(b & sig))))
     return FlagCheck(True)
 
 
@@ -197,13 +197,7 @@ class ConnectivityBound:
     note: str = NOTE_HOMOLOGY_PROXY
 
 
-def lemma_connectivity_bound(
-    cx: SimplicialComplex,
-    sigma,
-    m: int,
-    k: int,
-    search_cap: int = 200_000,
-) -> ConnectivityBound:
+def lemma_connectivity_bound(cx: SimplicialComplex, sigma, m: int, k: int) -> ConnectivityBound:
     """Verify the hypotheses of the pseudosimplex connectivity lemma and
     return the implied connectivity bound, or the failed hypothesis.
 
@@ -249,10 +243,10 @@ def lemma_connectivity_bound(
             total = 1
             for t in range(size):
                 total = total * (len(cands) - t) // (t + 1)
-            if total > search_cap:
+            if total > PSEUDOFACE_SEARCH_CAP:
                 return ConnectivityBound(
                     None,
-                    f"pseudoface search for vertex {v!r} exceeds cap {search_cap}",
+                    f"pseudoface search for vertex {v!r} exceeds cap {PSEUDOFACE_SEARCH_CAP}",
                     sig,
                     m,
                     k,
@@ -395,11 +389,7 @@ def _components(cx: SimplicialComplex) -> int:
     return len({find(v) for v in cx.vertices})
 
 
-def homology(
-    cx: SimplicialComplex,
-    max_dim: int | None = None,
-    face_cap: int = 2_000_000,
-) -> HomologyReport:
+def homology(cx: SimplicialComplex, max_dim: int | None = None) -> HomologyReport:
     """Integer simplicial homology: Betti numbers and torsion invariants.
 
     Complexes of dimension <= 1 use the components/loops formulas (H_1 of
@@ -420,9 +410,9 @@ def homology(
         return HomologyReport(tuple(betti), tuple(() for _ in betti))
 
     sizes = [len(cx.faces_of_size(s)) for s in range(1, top + 3)]
-    if sum(sizes) > face_cap:
+    if sum(sizes) > HOMOLOGY_FACE_CAP:
         raise CapExceeded(
-            f"homology face budget exceeded: {sum(sizes)} faces > cap {face_cap}"
+            f"homology face budget exceeded: {sum(sizes)} faces > cap {HOMOLOGY_FACE_CAP}"
         )
 
     matrices = {d: boundary_matrix(cx, d) for d in range(1, top + 2)}

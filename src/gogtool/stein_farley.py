@@ -55,7 +55,8 @@ from .patches import (
 from .simplicial import SimplicialComplex, homology, lemma_connectivity_bound
 
 DEFAULT_LINK_VERTEX_CAP = 100_000
-DEFAULT_LEMMA_CHECK_CAP = 400
+# links with more vertices skip the connectivity-lemma check
+LEMMA_CHECK_CAP = 400
 
 
 @dataclass(frozen=True, order=True)
@@ -406,8 +407,6 @@ def link_connectivity_report(
     base: CountVector,
     m_max: int = 0,
     link: DescendingLink | None = None,
-    max_vertices: int = DEFAULT_LINK_VERTEX_CAP,
-    lemma_cap: int = DEFAULT_LEMMA_CHECK_CAP,
     dickson_box: int = DEFAULT_DICKSON_BOX,
 ) -> LinkReport:
     """Homology of the descending link juxtaposed with the threshold
@@ -418,7 +417,7 @@ def link_connectivity_report(
     pseudosimplex (ground parameter k = beta).
     """
     if link is None:
-        link = descending_link(x, table, base, max_vertices)
+        link = descending_link(x, table, base)
     cx = link.to_complex()
     if link.vertices:
         betti_report = homology(cx, max_dim=max(m_max, 1))
@@ -437,8 +436,8 @@ def link_connectivity_report(
         want = th.C // 2
         if not link.vertices:
             sigma_result = "no vertices, no ground pseudosimplex"
-        elif len(link.vertices) > lemma_cap:
-            sigma_result = f"lemma check skipped (link exceeds cap {lemma_cap})"
+        elif len(link.vertices) > LEMMA_CHECK_CAP:
+            sigma_result = f"lemma check skipped (link exceeds cap {LEMMA_CHECK_CAP})"
         else:
             sigma = _planted_same_type_face(link, table, base, want)
             if sigma is None:

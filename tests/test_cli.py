@@ -253,6 +253,9 @@ BAD_INPUTS = {
         "desclink", LOOP, "--height", "10", "--max-link-vertices", "-1",
     ],
     "negative max-dim": ["homology", "--in", "{tmp}/triangle.json", "--max-dim", "-1"],
+    "str sigma on int labels": [
+        "lemma-check", "--in", "{tmp}/triangle.json", "--sigma", "a,1", "-m", "2", "-k", "1",
+    ],
     "dickson box 0": ["threshold", LOOP, "-m", "0", "--dickson-box", "0"],
     "dickson box 0, desclink": ["desclink", LOOP, "--height", "10", "--dickson-box", "0"],
     "negative repair-budget": ["viral", str(DATA / "triple.gog"), "--repair-budget", "-1"],

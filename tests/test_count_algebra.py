@@ -161,6 +161,14 @@ def test_alpha_box_exhaustion(loop33: System):
     assert exc.value.partial_basis.minimal == ()
 
 
+def test_threshold_rows_match_alpha(loop33: System, bs23_aug: System):
+    # thresholds reads every type's bound off one search per collection
+    for system in (loop33, bs23_aug):
+        th = gt.thresholds(1, system.table, system.base)
+        for rho, vals in th.alpha_table:
+            assert vals == tuple(gt.alpha(rho, i, system.table, system.base) for i in range(th.k))
+
+
 def test_thresholds_loop33(loop33: System):
     th0 = gt.thresholds(0, loop33.table, loop33.base)
     assert th0.beta == 5

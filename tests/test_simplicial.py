@@ -1,11 +1,17 @@
 import itertools
+import json
+import os
 import random
+import subprocess
+import sys
 
 import pytest
 
 import gogtool as gt
+from gogtool import simplicial
 from gogtool.errors import CapExceeded, ValidationError
 from gogtool.simplicial import (
+    FlagCheck,
     SimplicialComplex,
     boundary_matrix,
     homology,
@@ -16,6 +22,8 @@ from gogtool.simplicial import (
     random_complex,
     smith_normal_form,
 )
+
+from conftest import DATA
 
 HOLLOW = SimplicialComplex.from_maximal([{0, 1}, {1, 2}, {0, 2}])
 SPHERE = SimplicialComplex.from_maximal([{0, 1, 2}, {0, 1, 3}, {0, 2, 3}, {1, 2, 3}])
@@ -59,9 +67,10 @@ def test_homology_caveat_attached():
     assert "necessary condition" in homology(HOLLOW).caveat
 
 
-def test_homology_face_cap():
+def test_homology_face_cap(monkeypatch):
+    monkeypatch.setattr(simplicial, "HOMOLOGY_FACE_CAP", 3)
     with pytest.raises(CapExceeded):
-        homology(SPHERE, face_cap=3)
+        homology(SPHERE)
 
 
 def test_smith_normal_form_basics():
@@ -148,6 +157,110 @@ def test_flag_check_counterexample():
     assert not res.holds
     rho, tau = res.counterexample
     assert set(rho) | set(tau) == {0, 1, 2}
+
+
+def _pseudosimplices_up_to(cx: SimplicialComplex, m: int, max_size: int) -> list[tuple]:
+    out = []
+    for size in range(1, max_size + 1):
+        for c in itertools.combinations(cx.vertices, size):
+            if is_m_pseudosimplex(cx, c, m):
+                out.append(c)
+    return out
+
+
+def exhaustive_flag_check(cx: SimplicialComplex, sigma, m: int) -> FlagCheck:
+    """Definition-level oracle for ``is_m_flag_wrt``.
+
+    Quantifying over rho of size <= m+2 and pseudofaces tau of size <= m+1
+    is complete: a violation is a missing face B of size <= m+1 inside
+    rho union tau, and (B cap rho, B cap tau) is already a violating pair
+    within these caps.
+    """
+    sig = sorted(set(sigma))
+    if not is_m_pseudosimplex(cx, sig, m):
+        raise ValidationError("sigma is not an m-pseudosimplex")
+    pair_faces = cx.faces_of_size(2)
+    single_faces = cx.faces_of_size(1)
+
+    def joined(a, b) -> bool:
+        if a == b:
+            return frozenset({a}) in single_faces
+        return frozenset({a, b}) in pair_faces
+
+    rhos = _pseudosimplices_up_to(cx, m, m + 2)
+    taus = [
+        c
+        for size in range(1, min(len(sig), m + 1) + 1)
+        for c in itertools.combinations(sig, size)
+    ]
+    for rho in rhos:
+        for tau in taus:
+            if not all(joined(a, b) for a in rho for b in tau):
+                continue
+            if not m_joinable(cx, rho, tau, m):
+                return FlagCheck(False, (rho, tau))
+    return FlagCheck(True)
+
+
+def _relabelled(cx: SimplicialComplex) -> SimplicialComplex:
+    # "v10" sorts before "v2", so str order differs from int order
+    return SimplicialComplex.from_maximal(
+        [{f"v{v}" for v in face} for face in cx.maximal_faces]
+    )
+
+
+def _flag_cases():
+    """Seeded (complex, sigma, m): the criterion-06 mix, denser complexes,
+    and heavier triangle drops, each also with str labels."""
+    for seed in range(60):
+        n = 5 + seed % 8
+        density = (0.35, 0.5, 0.65, 0.8)[seed % 4]
+        ground = 2 + seed % 3
+        drop = (0.0, 0.15, 0.4)[seed % 3]
+        cx = random_complex(seed, n, density, ground=ground, drop=drop)
+        rng = random.Random(seed)
+        sigmas = [tuple(range(ground)), tuple(sorted(rng.sample(range(n), 2)))]
+        for m in range(5):
+            for sigma in sigmas:
+                if is_m_pseudosimplex(cx, sigma, m):
+                    yield cx, sigma, m
+                    yield _relabelled(cx), tuple(f"v{v}" for v in sigma), m
+
+
+def test_flag_check_matches_exhaustive_oracle():
+    violations = 0
+    for cx, sigma, m in _flag_cases():
+        fast = is_m_flag_wrt(cx, sigma, m)
+        assert fast.holds == exhaustive_flag_check(cx, sigma, m).holds, (cx, sigma, m)
+        if fast.holds:
+            continue
+        violations += 1
+        rho, tau = fast.counterexample
+        assert is_m_pseudosimplex(cx, rho, m)
+        assert tau and set(tau) <= set(sigma)
+        assert all(cx.is_face({a, b}) for a in rho for b in tau)
+        assert not m_joinable(cx, rho, tau, m)
+    assert violations >= 50
+
+
+def test_flag_counterexample_independent_of_hash_seed(tmp_path):
+    # the 1-skeleton of a 4-simplex: every triangle is a minimal non-face
+    labels = ["v10", "v2", "v7", "v30", "v4"]
+    cx = tmp_path / "complex.json"
+    cx.write_text(json.dumps({"maximal_faces": [list(e) for e in itertools.combinations(labels, 2)]}))
+    outputs = []
+    for hash_seed in ("0", "1"):
+        env = dict(os.environ, PYTHONHASHSEED=hash_seed)
+        env["PYTHONPATH"] = os.pathsep.join(
+            filter(None, [str(DATA.parent / "src"), env.get("PYTHONPATH")])
+        )
+        outputs.append(subprocess.run(
+            [sys.executable, "-m", "gogtool.cli", "lemma-check", "--in", str(cx),
+             "--sigma", "v7,v30", "-m", "2", "-k", "1"],
+            env=env, check=True, capture_output=True,
+        ).stdout)
+    assert outputs[0] == outputs[1]
+    assert "rho=('v10', 'v2'), tau=('v30',)" in json.loads(outputs[0])["failed_hypothesis"]
 
 
 def test_flag_requires_pseudosimplex_sigma():
