@@ -34,6 +34,7 @@ from .model import (
 from .patches import (
     DEFAULT_REPAIR_BUDGET,
     DEFAULT_TREE_BUDGET,
+    TreePatch,
     base_tree,
     caret_table,
     check_viral,
@@ -91,6 +92,14 @@ def _resolve_gates(doc: GogDocument, args) -> GateSystem:
             order = tuple(args.order.split(","))
         return default_gates(g, order)
     return GateSystem(g, doc.gates)
+
+
+def _load_system(args) -> tuple[GogDocument, GateSystem, TreePatch]:
+    """The document, its gate system and the base tree at --root (default:
+    the first vertex)."""
+    doc = _load_doc(args.file)
+    gs = _resolve_gates(doc, args)
+    return doc, gs, base_tree(doc.graph, gs, args.root or doc.graph.vertices[0])
 
 
 def _emit(args, artifacts: dict[str, str]) -> None:
@@ -172,16 +181,8 @@ def _cmd_carets(args) -> tuple[int, dict[str, str]]:
     return 0, {"carets.json": _dumps(table.to_json_dict())}
 
 
-def _root(doc: GogDocument, args) -> str:
-    if getattr(args, "root", None):
-        return args.root
-    return doc.graph.vertices[0]
-
-
 def _cmd_viral(args) -> tuple[int, dict[str, str]]:
-    doc = _load_doc(args.file)
-    gs = _resolve_gates(doc, args)
-    t0 = base_tree(doc.graph, gs, _root(doc, args))
+    doc, gs, t0 = _load_system(args)
     report = check_viral(doc.graph, gs, t0, repair_budget=args.repair_budget)
     body = report.to_json_dict()
     body["base_tree_counts"] = {
@@ -192,9 +193,7 @@ def _cmd_viral(args) -> tuple[int, dict[str, str]]:
 
 
 def _cmd_enumerate(args) -> tuple[int, dict[str, str]]:
-    doc = _load_doc(args.file)
-    gs = _resolve_gates(doc, args)
-    t0 = base_tree(doc.graph, gs, _root(doc, args))
+    doc, gs, t0 = _load_system(args)
     patches = enumerate_admissible(
         doc.graph, gs, t0, args.max_expansions, max_trees=args.max_trees
     )
@@ -216,9 +215,7 @@ def _cmd_enumerate(args) -> tuple[int, dict[str, str]]:
 
 
 def _cmd_sf(args) -> tuple[int, dict[str, str]]:
-    doc = _load_doc(args.file)
-    gs = _resolve_gates(doc, args)
-    t0 = base_tree(doc.graph, gs, _root(doc, args))
+    doc, gs, t0 = _load_system(args)
     table = caret_table(doc.graph, gs)
     verts = sf_vertices_at_height(args.height, table, t0.counts())
     report = {
@@ -231,9 +228,7 @@ def _cmd_sf(args) -> tuple[int, dict[str, str]]:
 
 
 def _cmd_desclink(args) -> tuple[int, dict[str, str]]:
-    doc = _load_doc(args.file)
-    gs = _resolve_gates(doc, args)
-    t0 = base_tree(doc.graph, gs, _root(doc, args))
+    doc, gs, t0 = _load_system(args)
     table = caret_table(doc.graph, gs)
     base = t0.counts()
     verts = sf_vertices_at_height(args.height, table, base)
@@ -301,9 +296,7 @@ def _cmd_lemma_check(args) -> tuple[int, dict[str, str]]:
 
 
 def _cmd_threshold(args) -> tuple[int, dict[str, str]]:
-    doc = _load_doc(args.file)
-    gs = _resolve_gates(doc, args)
-    t0 = base_tree(doc.graph, gs, _root(doc, args))
+    doc, gs, t0 = _load_system(args)
     table = caret_table(doc.graph, gs)
     th = compute_thresholds(args.m, table, t0.counts(), box=args.dickson_box)
     return 0, {"threshold.json": _dumps(th.to_json_dict())}

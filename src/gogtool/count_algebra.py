@@ -171,10 +171,11 @@ def realizable(c: CountVector, table, base: CountVector, viral: bool) -> frozens
 class DicksonBasis:
     """Antichain of minimal true points of an upward-closed predicate.
 
-    ``complete`` is True when the upward closure of the antichain provably
-    covers the whole truth set, i.e. either some l1-layer inside the box
-    consisted solely of dominated points, or every point on the upper faces
-    of the box dominates a basis element.
+    ``complete`` is True when the search stabilised: some l1-layer held
+    no undominated point inside the box, and, where the layer reaches
+    beyond the box, no true undominated point outside it.  A layer inside
+    the box proves the antichain covers the whole truth set; one beyond it
+    only shows the box cut off no minimal point of that layer.
     """
 
     minimal: tuple[Vec, ...]
@@ -210,10 +211,10 @@ def dickson_minimal(
 ) -> DicksonBasis:
     """Minimal true points of a monotone predicate within [0, box]^dim.
 
-    Searches breadth-first by l1-norm with dominance pruning; stops early
-    once a whole layer is dominated (then every larger point is too).
-    Monotonicity is spot-checked above each basis element and a violation
-    raises ValidationError.
+    Searches breadth-first by l1-norm with dominance pruning; stops at the
+    first layer whose in-box points are all dominated (then so are those
+    of every later layer).  Monotonicity is spot-checked above each basis
+    element and a violation raises ValidationError.
     """
     basis: list[Vec] = []
 
@@ -231,22 +232,12 @@ def dickson_minimal(
             else:
                 saw_gap = True
         if not saw_gap:
-            complete = True
+            # a true undominated point of this layer beyond the box is a
+            # minimal point the box cut off
+            complete = total <= box or not any(
+                pred(p) for p in _layer(total, dim, total) if max(p) > box and not dominated(p)
+            )
             break
-
-    if not complete and basis:
-        # complete iff every upper-face point dominates a basis element:
-        # any point beyond the box clamps onto an upper face without
-        # increasing coordinates.
-        complete = True
-        for axis in range(dim):
-            for rest in itertools.product(range(box + 1), repeat=dim - 1):
-                p = rest[:axis] + (box,) + rest[axis:]
-                if not dominated(p):
-                    complete = False
-                    break
-            if not complete:
-                break
 
     for b in basis:
         for i in range(dim):

@@ -1,11 +1,15 @@
 """Finite abstract simplicial complexes, integer homology, and the
 pseudosimplex connectivity checker.
 
-Complexes are stored by their maximal faces with a membership oracle;
-vertex labels only need to be hashable and sortable.  Homology is exact
-over the integers: Smith normal form with a minimal-pivot strategy that
-guards coefficient blowup, and a components/loops shortcut for complexes
-of dimension <= 1.
+A complex stores every face once, as a sorted vertex tuple, grouped by
+size; membership is a lookup and the maximal faces are derived.  Vertex
+labels only need to be hashable and sortable.  Homology is exact over
+the integers and follows one rule in every dimension: rank d_1 comes
+from union-find components (a graph incidence matrix is totally
+unimodular, so all its invariant factors are 1), and each higher
+d_k is built as sparse columns, checked by d_(k-1) d_k = 0, and reduced
+by Smith normal form with a minimal-pivot strategy that guards
+coefficient blowup.
 
 The checker's costly hypothesis, m-flag with respect to sigma, fails
 exactly when some minimal non-face B with 3 <= |B| <= m+1 meets sigma;
@@ -32,69 +36,62 @@ HOMOLOGY_FACE_CAP = 2_000_000  # faces of dimension <= max_dim+1
 
 @dataclass(frozen=True)
 class SimplicialComplex:
-    """Downward-closed face family, stored as maximal faces."""
+    """Downward-closed face family: ``faces[s-1]`` holds the faces with s
+    vertices, each a sorted vertex tuple."""
 
     vertices: tuple
-    maximal_faces: tuple[frozenset, ...]
+    faces: tuple[frozenset, ...]
 
     @staticmethod
     def from_maximal(faces, vertices=None) -> "SimplicialComplex":
-        fs = {frozenset(f) for f in faces if f}
-        maximal = tuple(
-            sorted(
-                (f for f in fs if not any(f < g for g in fs)),
-                key=lambda f: (len(f), tuple(sorted(f))),
-            )
-        )
-        vs = set()
-        for f in maximal:
-            vs |= f
-        if vertices is not None:
-            extra = set(vertices) - vs
-            maximal = tuple(
-                sorted(
-                    list(maximal) + [frozenset({v}) for v in sorted(extra)],
-                    key=lambda f: (len(f), tuple(sorted(f))),
-                )
-            )
-            vs |= extra
-        return SimplicialComplex(tuple(sorted(vs)), maximal)
+        """The complex generated by ``faces`` (any faces, not only maximal
+        ones) plus the isolated ``vertices``."""
+        levels: list[set] = []
+        stack = [tuple(sorted(set(f))) for f in faces if f]
+        stack += [(v,) for v in vertices or ()]
+        while stack:
+            f = stack.pop()
+            while len(levels) < len(f):
+                levels.append(set())
+            if f in levels[len(f) - 1]:
+                continue
+            levels[len(f) - 1].add(f)
+            if len(f) > 1:
+                stack.extend(f[:p] + f[p + 1:] for p in range(len(f)))
+        vs = tuple(v for (v,) in sorted(levels[0])) if levels else ()
+        return SimplicialComplex(vs, tuple(frozenset(level) for level in levels))
 
     @property
     def dimension(self) -> int:
-        return max((len(f) for f in self.maximal_faces), default=0) - 1
-
-    def is_face(self, s) -> bool:
-        fs = frozenset(s)
-        if not fs:
-            return bool(self.maximal_faces)
-        return any(fs <= m for m in self.maximal_faces)
+        return len(self.faces) - 1
 
     @cached_property
-    def _face_cache(self) -> dict[int, frozenset]:
-        return {}
+    def maximal_faces(self) -> tuple[tuple, ...]:
+        """Faces that are no facet of a face one size larger."""
+        out = []
+        for size, level in enumerate(self.faces, 1):
+            upper = self.faces[size] if size < len(self.faces) else ()
+            covered = {f[:p] + f[p + 1:] for f in upper for p in range(size + 1)}
+            out += sorted(level - covered)
+        return tuple(out)
+
+    def is_face(self, s) -> bool:
+        f = tuple(sorted(set(s)))
+        if not f:
+            return bool(self.faces)
+        return f in self.faces_of_size(len(f))
 
     def faces_of_size(self, size: int) -> frozenset:
         """All faces with ``size`` vertices (simplices of dimension size-1)."""
-        if size <= 0:
-            return frozenset()
-        cached = self._face_cache.get(size)
-        if cached is None:
-            out = set()
-            for m in self.maximal_faces:
-                if len(m) >= size:
-                    out.update(frozenset(c) for c in itertools.combinations(sorted(m), size))
-            cached = frozenset(out)
-            self._face_cache[size] = cached
-        return cached
+        return self.faces[size - 1] if 0 < size <= len(self.faces) else frozenset()
 
     def f_vector(self) -> tuple[int, ...]:
-        return tuple(len(self.faces_of_size(s)) for s in range(1, self.dimension + 2))
+        return tuple(len(level) for level in self.faces)
 
     def to_json_dict(self) -> dict:
         return {
             "vertices": list(self.vertices),
-            "maximal_faces": [sorted(f) for f in self.maximal_faces],
+            "maximal_faces": [list(f) for f in self.maximal_faces],
         }
 
     @staticmethod
@@ -112,7 +109,7 @@ class SimplicialComplex:
         labels = [v for f in faces for v in f] + (vertices or [])
         if not (all(type(v) is int for v in labels) or all(type(v) is str for v in labels)):
             raise ValidationError("vertex labels must be all integers or all strings")
-        return SimplicialComplex.from_maximal([frozenset(f) for f in faces], vertices=vertices)
+        return SimplicialComplex.from_maximal(faces, vertices=vertices)
 
 
 # -- pseudosimplex framework ------------------------------------------------
@@ -125,12 +122,11 @@ def is_m_pseudosimplex(cx: SimplicialComplex, sigma, m: int) -> bool:
     monotone decreasing in m.
     """
     s = sorted(set(sigma))
-    for size in range(1, min(len(s), m + 1) + 1):
-        faces = cx.faces_of_size(size)
-        for c in itertools.combinations(s, size):
-            if frozenset(c) not in faces:
-                return False
-    return True
+    return all(
+        c in cx.faces_of_size(size)
+        for size in range(1, min(len(s), m + 1) + 1)
+        for c in itertools.combinations(s, size)
+    )
 
 
 def m_joinable(cx: SimplicialComplex, sigma, tau, m: int) -> bool:
@@ -161,22 +157,25 @@ def is_m_flag_wrt(cx: SimplicialComplex, sigma, m: int) -> FlagCheck:
     B is searched by size, then sorted vertex tuple, so the counterexample
     (sorted(B - sigma), sorted(B & sigma)) is the same in every run.
     """
-    sig = frozenset(sigma)
+    sig = set(sigma)
     if not is_m_pseudosimplex(cx, sig, m):
         raise ValidationError("sigma is not an m-pseudosimplex")
     position = {v: i for i, v in enumerate(cx.vertices)}
     for size in range(3, m + 2):
         smaller = cx.faces_of_size(size - 1)
         # a candidate B is a face of size-1 extended by a larger vertex
-        for face in sorted(tuple(sorted(f)) for f in smaller):
+        for face in sorted(smaller):
             for v in cx.vertices[position[face[-1]] + 1:]:
-                b = frozenset(face + (v,))
+                b = face + (v,)
                 if (
-                    b & sig
-                    and all(b - {u} in smaller for u in face)
-                    and not cx.is_face(b)
+                    not sig.isdisjoint(b)
+                    and all(b[:p] + b[p + 1:] in smaller for p in range(size - 1))
+                    and b not in cx.faces_of_size(size)
                 ):
-                    return FlagCheck(False, (tuple(sorted(b - sig)), tuple(sorted(b & sig))))
+                    return FlagCheck(
+                        False,
+                        (tuple(u for u in b if u not in sig), tuple(u for u in b if u in sig)),
+                    )
     return FlagCheck(True)
 
 
@@ -227,15 +226,8 @@ def lemma_connectivity_bound(cx: SimplicialComplex, sigma, m: int, k: int) -> Co
     l = len(sig) - 1
     size = max(l - k + 1, 0)
     if size > 0:
-        pair_faces = cx.faces_of_size(2)
-        single_faces = cx.faces_of_size(1)
         for v in cx.vertices:
-            cands = [
-                w
-                for w in sig
-                if (frozenset({v, w}) in pair_faces)
-                or (w == v and frozenset({v}) in single_faces)
-            ]
+            cands = [w for w in sig if cx.is_face({v, w})]
             if len(cands) < size:
                 return ConnectivityBound(
                     None, f"vertex {v!r} is not joinable to enough of sigma", sig, m, k
@@ -339,22 +331,18 @@ def smith_normal_form(rows: list[list[int]], ncols: int) -> list[int]:
     return diag
 
 
-def boundary_matrix(cx: SimplicialComplex, d: int) -> tuple[list[list[int]], int]:
-    """Integer boundary matrix from d-simplices to (d-1)-simplices.
+def boundary_matrix(cx: SimplicialComplex, d: int) -> list[dict[int, int]]:
+    """Integer boundary matrix from d-simplices to (d-1)-simplices, as
+    sparse columns.
 
-    Returns (rows, ncols): rows are indexed by the sorted (d-1)-faces and
-    columns by the sorted d-faces, with the usual alternating signs.
+    Column j maps row indices to the usual alternating signs; rows are
+    indexed by the sorted (d-1)-faces and columns by the sorted d-faces.
     """
-    lo = sorted(cx.faces_of_size(d), key=lambda f: tuple(sorted(f)))
-    hi = sorted(cx.faces_of_size(d + 1), key=lambda f: tuple(sorted(f)))
-    lo_index = {f: i for i, f in enumerate(lo)}
-    rows = [[0] * len(hi) for _ in lo]
-    for j, f in enumerate(hi):
-        vs = sorted(f)
-        for p in range(len(vs)):
-            face = frozenset(vs[:p] + vs[p + 1:])
-            rows[lo_index[face]][j] = 1 if p % 2 == 0 else -1
-    return rows, len(hi)
+    lo_index = {f: i for i, f in enumerate(sorted(cx.faces_of_size(d)))}
+    return [
+        {lo_index[f[:p] + f[p + 1:]]: 1 if p % 2 == 0 else -1 for p in range(d + 1)}
+        for f in sorted(cx.faces_of_size(d + 1))
+    ]
 
 
 @dataclass(frozen=True)
@@ -380,71 +368,58 @@ def _components(cx: SimplicialComplex) -> int:
             x = parent[x]
         return x
 
-    for f in cx.maximal_faces:
-        vs = sorted(f)
-        for a, b in zip(vs, vs[1:]):
-            ra, rb = find(a), find(b)
-            if ra != rb:
-                parent[ra] = rb
+    for a, b in cx.faces_of_size(2):
+        ra, rb = find(a), find(b)
+        if ra != rb:
+            parent[ra] = rb
     return len({find(v) for v in cx.vertices})
 
 
 def homology(cx: SimplicialComplex, max_dim: int | None = None) -> HomologyReport:
     """Integer simplicial homology: Betti numbers and torsion invariants.
 
-    Complexes of dimension <= 1 use the components/loops formulas (H_1 of
-    a graph is free).  Higher dimensions run Smith normal form on each
-    boundary matrix; the total face count is capped.
+    rank d_1 is |V| minus the components found by union-find: d_1 is a
+    graph incidence matrix, totally unimodular, so its invariant factors
+    are all 1.  Each d_k with k >= 2 is built as sparse columns, checked
+    against d_(k-1) by exact sparse composition, and reduced by Smith
+    normal form; on complexes of dimension >= 2 the face count is capped.
     """
     if not cx.vertices:
         return HomologyReport((), ())
     dim = cx.dimension
     top = dim if max_dim is None else min(max_dim, dim)
-
-    if dim <= 1:
-        c = _components(cx)
-        n_e = len(cx.faces_of_size(2))
-        betti = [c]
-        if top >= 1:
-            betti.append(n_e - len(cx.vertices) + c)
-        return HomologyReport(tuple(betti), tuple(() for _ in betti))
-
     sizes = [len(cx.faces_of_size(s)) for s in range(1, top + 3)]
-    if sum(sizes) > HOMOLOGY_FACE_CAP:
+    if dim >= 2 and sum(sizes) > HOMOLOGY_FACE_CAP:
         raise CapExceeded(
             f"homology face budget exceeded: {sum(sizes)} faces > cap {HOMOLOGY_FACE_CAP}"
         )
 
-    matrices = {d: boundary_matrix(cx, d) for d in range(1, top + 2)}
+    ranks = [0, len(cx.vertices) - _components(cx)]
+    diags = [[], []]
+    last = min(top + 1, dim)  # d_k for k > last is zero or not needed
+    lower = boundary_matrix(cx, 1) if last >= 2 else []
+    for d in range(2, last + 1):
+        cols = boundary_matrix(cx, d)
+        for col in cols:
+            acc: dict[int, int] = {}
+            for i, a in col.items():
+                for r, b in lower[i].items():
+                    acc[r] = acc.get(r, 0) + a * b
+            if any(acc.values()):
+                raise InvariantViolation("boundary composed with boundary is nonzero")
+        rows = [[0] * len(cols) for _ in range(sizes[d - 1])]
+        for j, col in enumerate(cols):
+            for i, a in col.items():
+                rows[i][j] = a
+        diags.append(smith_normal_form(rows, len(cols)))
+        ranks.append(len(diags[-1]))
+        lower = cols
+    ranks += [0] * (top + 2 - len(ranks))
+    diags += [[]] * (top + 2 - len(diags))
 
-    # boundary-of-boundary must vanish
-    for d in range(1, top + 1):
-        lo_rows, _ = matrices[d]
-        hi_rows, hi_n = matrices[d + 1]
-        for j in range(hi_n):
-            col = [hi_rows[i][j] for i in range(len(hi_rows))]
-            for r in range(len(lo_rows)):
-                acc = sum(lo_rows[r][i] * col[i] for i in range(len(col)) if col[i])
-                if acc != 0:
-                    raise InvariantViolation("boundary composed with boundary is nonzero")
-
-    diags = {d: smith_normal_form(*rows_n) for d, rows_n in matrices.items()}
-    ranks = {d: len(diags[d]) for d in matrices}
-    ranks[0] = 0
-    ranks[top + 2] = 0
-
-    betti = []
-    torsion = []
-    for d in range(0, top + 1):
-        n_d = sizes[d]
-        r_d = ranks.get(d, 0)
-        r_up = ranks.get(d + 1, 0) if d + 1 <= dim else 0
-        betti.append(n_d - r_d - r_up)
-        if d + 1 <= dim:
-            torsion.append(tuple(x for x in diags.get(d + 1, []) if abs(x) > 1))
-        else:
-            torsion.append(())
-    return HomologyReport(tuple(betti), tuple(torsion))
+    betti = tuple(sizes[d] - ranks[d] - ranks[d + 1] for d in range(top + 1))
+    torsion = tuple(tuple(x for x in diags[d + 1] if x > 1) for d in range(top + 1))
+    return HomologyReport(betti, torsion)
 
 
 # -- reproducible pseudorandom complexes -------------------------------------
@@ -472,45 +447,33 @@ def random_complex(
         raise ValidationError("ground size out of range")
     rng = random.Random(seed)
     verts = list(range(n_vertices))
-    ground_set = set(range(ground))
-    adj: set[frozenset] = set()
-    for i, j in itertools.combinations(verts, 2):
-        if i in ground_set and j in ground_set:
-            adj.add(frozenset({i, j}))
-        elif rng.random() < density:
-            adj.add(frozenset({i, j}))
+    adj = {
+        (i, j)
+        for i, j in itertools.combinations(verts, 2)
+        if j < ground or rng.random() < density
+    }
 
     cap = n_vertices if max_dim is None else max_dim + 1
-    cliques: list[frozenset] = [frozenset({v}) for v in verts]
-    layer = [(v,) for v in verts]
+    cliques = [(v,) for v in verts]
+    layer = cliques[:]
     size = 1
     while layer and size < cap:
-        nxt = []
-        for c in layer:
-            for v in range(c[-1] + 1, n_vertices):
-                if all(frozenset({u, v}) in adj for u in c):
-                    nxt.append(c + (v,))
-        cliques.extend(frozenset(c) for c in nxt)
-        layer = nxt
+        layer = [
+            c + (v,)
+            for c in layer
+            for v in range(c[-1] + 1, n_vertices)
+            if all((u, v) in adj for u in c)
+        ]
+        cliques.extend(layer)
         size += 1
 
-    dropped: set[frozenset] = set()
+    dropped = set()
     if drop > 0:
-        triangles = sorted(
-            (c for c in cliques if len(c) == 3), key=lambda f: tuple(sorted(f))
-        )
-        for tri in triangles:
-            if tri <= ground_set:
-                continue
-            if rng.random() < drop:
+        for tri in sorted(c for c in cliques if len(c) == 3):
+            if tri[-1] >= ground and rng.random() < drop:
                 dropped.add(tri)
 
-    def kept(face: frozenset) -> bool:
-        if len(face) < 3 or not dropped:
-            return True
-        return not any(
-            frozenset(c) in dropped for c in itertools.combinations(sorted(face), 3)
-        )
-
-    faces = [c for c in cliques if kept(c)]
+    faces = [
+        c for c in cliques if not dropped.intersection(itertools.combinations(c, 3))
+    ]
     return SimplicialComplex.from_maximal(faces, vertices=verts)

@@ -27,7 +27,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-from functools import cache, cached_property
+from functools import cache
 
 from .count_algebra import (
     DEFAULT_DICKSON_BOX,
@@ -154,20 +154,10 @@ class DescendingLink:
     def dimension(self) -> int:
         return len(self.higher_faces)
 
-    @cached_property
-    def maximal_faces(self) -> tuple[frozenset, ...]:
-        levels: list[list[tuple[int, ...]]] = [[(i,) for i in range(len(self.vertices))]]
-        levels += [list(fs) for fs in self.higher_faces]
-        non_max: set[tuple[int, ...]] = set()
-        for d in range(len(levels) - 1, 0, -1):
-            for face in levels[d]:
-                for sub in itertools.combinations(face, d):
-                    non_max.add(sub)
-        out = [frozenset(f) for level in levels for f in level if f not in non_max]
-        return tuple(sorted(out, key=lambda f: (len(f), tuple(sorted(f)))))
-
     def to_complex(self) -> SimplicialComplex:
-        return SimplicialComplex(tuple(range(len(self.vertices))), self.maximal_faces)
+        n = len(self.vertices)
+        levels = (tuple((i,) for i in range(n)),) + self.higher_faces
+        return SimplicialComplex(tuple(range(n)), tuple(frozenset(fs) for fs in levels if fs))
 
     def to_json_dict(self) -> dict:
         return {
@@ -175,7 +165,7 @@ class DescendingLink:
             "height": self.x.height,
             "f_vector": list(self.f_vector),
             "vertices": [v.to_json_dict() for v in self.vertices],
-            "maximal_faces": [sorted(f) for f in self.maximal_faces],
+            "maximal_faces": [list(f) for f in self.to_complex().maximal_faces],
         }
 
 

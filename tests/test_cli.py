@@ -183,6 +183,62 @@ def test_random_complex_deterministic(capsys):
     assert code == 0 and code2 == 0 and out1 == out2
 
 
+def test_threshold_small_box_is_lower_bound(capsys):
+    # box 1 cuts off part of an l1-layer that is otherwise dominated
+    code, out, _ = run(
+        capsys, "threshold", str(DATA / "loop33.gog"), "-m", "0", "--dickson-box", "1"
+    )
+    assert code == 0
+    assert json.loads(out)["alpha_is_lower_bound_only"] is True
+
+
+# sha256 of stdout for random-complex, homology --in and lemma-check
+COMPLEX_PIPELINES = [
+    (
+        ("--seed", "1", "--vertices", "9", "--density", "0.6", "--ground", "3", "--drop", "0.2"),
+        ("--sigma", "0,1,2", "-m", "2", "-k", "1"),
+        (
+            "1c48850b1cb91d14d2e820693a2a50557c2b1a6f47bd51a1d32dd46e42b646f4",
+            "3593f5b043f6b687373208978a55cafca660d8e4e7e30a7be106d5ff5d28f494",
+            "d1b106a96b40c42f448cee9cfa02f3e9c59b0928e940debe92dfd6659446c134",
+        ),
+    ),
+    (
+        ("--seed", "3", "--vertices", "8", "--density", "0.65", "--ground", "4"),
+        ("--sigma", "0,1,2,3", "-m", "1", "-k", "1"),
+        (
+            "6b499ab5ee7d0a9c32af199cd7a135b047ee2f9128fa8b1d0327c6a75b2522b6",
+            "ef9a7a5e768f6d83a13cee74cc38be921f5496957fcb99c2da699af099aa5336",
+            "1e55df8891636d92ca4a9e3729217cfe6f4a1ae2eff5ccb47fdd68f1bc45babc",
+        ),
+    ),
+    (
+        ("--seed", "6", "--vertices", "8", "--density", "0.65", "--ground", "4"),
+        ("--sigma", "0,1,2,3", "-m", "1", "-k", "1"),
+        (
+            "965bd2f52a1ee1eed7845ac5836a6bdbaccd632b53793415c0feecf55344e22d",
+            "ef9a7a5e768f6d83a13cee74cc38be921f5496957fcb99c2da699af099aa5336",
+            "37dd2541827b98ddcd4ce8eec6b005ef26382dc49e50a1f2f0ba3ca995e7066b",
+        ),
+    ),
+]
+
+
+@pytest.mark.parametrize(
+    "complex_args,lemma_args,digests", COMPLEX_PIPELINES, ids=["flag", "bound", "join"]
+)
+def test_complex_pipeline_outputs_pinned(capsys, tmp_path, complex_args, lemma_args, digests):
+    cx = tmp_path / "complex.json"
+    _, text, _ = run(capsys, "random-complex", *complex_args)
+    cx.write_text(text)
+    outputs = [
+        text,
+        run(capsys, "homology", "--in", str(cx))[1],
+        run(capsys, "lemma-check", "--in", str(cx), *lemma_args)[1],
+    ]
+    assert [hashlib.sha256(o.encode()).hexdigest() for o in outputs] == list(digests)
+
+
 def test_artifacts_written_to_out(capsys, tmp_path):
     code, out, _ = run(capsys, "--out", str(tmp_path), "carets", str(DATA / "loop33.gog"))
     assert code == 0

@@ -161,6 +161,19 @@ def test_alpha_box_exhaustion(loop33: System):
     assert exc.value.partial_basis.minimal == ()
 
 
+def test_dickson_box_cutting_a_layer_is_incomplete(loop33: System):
+    # the in-box points of layer 2 of rho = (0, 0) are dominated at box 1,
+    # but (0, 2) and (2, 0) beyond the box are true and undominated
+    pred = gt.elementary_expansion_predicate((0, 0), loop33.table, loop33.base)
+    small = dickson_minimal(pred, 2, 1)
+    assert small.minimal == ((1, 1),) and not small.complete
+    full = dickson_minimal(pred, 2, 2)
+    assert full.minimal == ((0, 2), (1, 1), (2, 0)) and full.complete
+    with pytest.raises(DicksonBoxExhausted) as exc:
+        gt.alpha((0, 0), 0, loop33.table, loop33.base, box=1)
+    assert exc.value.partial_basis.minimal == ((1, 1),) and exc.value.partial_max == 1
+
+
 def test_threshold_rows_match_alpha(loop33: System, bs23_aug: System):
     # thresholds reads every type's bound off one search per collection
     for system in (loop33, bs23_aug):

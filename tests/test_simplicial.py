@@ -9,7 +9,7 @@ import pytest
 
 import gogtool as gt
 from gogtool import simplicial
-from gogtool.errors import CapExceeded, ValidationError
+from gogtool.errors import CapExceeded, InvariantViolation, ValidationError
 from gogtool.simplicial import (
     FlagCheck,
     SimplicialComplex,
@@ -38,7 +38,7 @@ RP2 = SimplicialComplex.from_maximal(
 
 def test_from_maximal_normalises():
     cx = SimplicialComplex.from_maximal([{0, 1}, {1}, {0, 1}], vertices=[0, 1, 2])
-    assert cx.maximal_faces == (frozenset({2}), frozenset({0, 1}))
+    assert cx.maximal_faces == ((2,), (0, 1))
     assert cx.vertices == (0, 1, 2)
     assert cx.is_face({0}) and cx.is_face({0, 1}) and not cx.is_face({0, 2})
 
@@ -103,14 +103,168 @@ def test_smith_normal_form_against_sympy():
         assert sorted(ours) == ref
 
 
+def _densified(cols, nrows):
+    rows = [[0] * len(cols) for _ in range(nrows)]
+    for j, col in enumerate(cols):
+        for i, a in col.items():
+            rows[i][j] = a
+    return rows
+
+
 def test_boundary_matrix_squares_to_zero():
-    rows1, n1 = boundary_matrix(SPHERE, 1)
-    rows2, n2 = boundary_matrix(SPHERE, 2)
+    rows1 = _densified(boundary_matrix(SPHERE, 1), len(SPHERE.faces_of_size(1)))
+    rows2 = _densified(boundary_matrix(SPHERE, 2), len(SPHERE.faces_of_size(2)))
+    n2 = len(SPHERE.faces_of_size(3))
     prod = [
         [sum(rows1[i][t] * rows2[t][j] for t in range(len(rows2))) for j in range(n2)]
         for i in range(len(rows1))
     ]
     assert all(v == 0 for row in prod for v in row)
+
+
+def _dense_boundary(cx: SimplicialComplex, d: int) -> tuple[list[list[int]], int]:
+    lo = sorted(cx.faces_of_size(d), key=lambda f: tuple(sorted(f)))
+    hi = sorted(cx.faces_of_size(d + 1), key=lambda f: tuple(sorted(f)))
+    lo_index = {tuple(sorted(f)): i for i, f in enumerate(lo)}
+    rows = [[0] * len(hi) for _ in lo]
+    for j, f in enumerate(hi):
+        vs = sorted(f)
+        for p in range(len(vs)):
+            face = tuple(vs[:p] + vs[p + 1:])
+            rows[lo_index[face]][j] = 1 if p % 2 == 0 else -1
+    return rows, len(hi)
+
+
+def _dense_components(cx: SimplicialComplex) -> int:
+    parent = {v: v for v in cx.vertices}
+
+    def find(x):
+        while parent[x] != x:
+            parent[x] = parent[parent[x]]
+            x = parent[x]
+        return x
+
+    for f in cx.maximal_faces:
+        vs = sorted(f)
+        for a, b in zip(vs, vs[1:]):
+            ra, rb = find(a), find(b)
+            if ra != rb:
+                parent[ra] = rb
+    return len({find(v) for v in cx.vertices})
+
+
+def dense_homology(cx: SimplicialComplex, max_dim: int | None = None) -> gt.HomologyReport:
+    """Test oracle for ``homology``: dense boundary matrices, the dense
+    boundary-of-boundary loop, and the components/loops formulas for
+    dimension <= 1."""
+    if not cx.vertices:
+        return gt.HomologyReport((), ())
+    dim = cx.dimension
+    top = dim if max_dim is None else min(max_dim, dim)
+
+    if dim <= 1:
+        c = _dense_components(cx)
+        n_e = len(cx.faces_of_size(2))
+        betti = [c]
+        if top >= 1:
+            betti.append(n_e - len(cx.vertices) + c)
+        return gt.HomologyReport(tuple(betti), tuple(() for _ in betti))
+
+    sizes = [len(cx.faces_of_size(s)) for s in range(1, top + 3)]
+    matrices = {d: _dense_boundary(cx, d) for d in range(1, top + 2)}
+
+    # boundary-of-boundary must vanish
+    for d in range(1, top + 1):
+        lo_rows, _ = matrices[d]
+        hi_rows, hi_n = matrices[d + 1]
+        for j in range(hi_n):
+            col = [hi_rows[i][j] for i in range(len(hi_rows))]
+            for r in range(len(lo_rows)):
+                acc = sum(lo_rows[r][i] * col[i] for i in range(len(col)) if col[i])
+                if acc != 0:
+                    raise InvariantViolation("boundary composed with boundary is nonzero")
+
+    diags = {d: smith_normal_form(*rows_n) for d, rows_n in matrices.items()}
+    ranks = {d: len(diags[d]) for d in matrices}
+    ranks[0] = 0
+    ranks[top + 2] = 0
+
+    betti = []
+    torsion = []
+    for d in range(0, top + 1):
+        n_d = sizes[d]
+        r_d = ranks.get(d, 0)
+        r_up = ranks.get(d + 1, 0) if d + 1 <= dim else 0
+        betti.append(n_d - r_d - r_up)
+        if d + 1 <= dim:
+            torsion.append(tuple(x for x in diags.get(d + 1, []) if abs(x) > 1))
+        else:
+            torsion.append(())
+    return gt.HomologyReport(tuple(betti), tuple(torsion))
+
+
+def _crit06_mix(count: int = 500):
+    """Seeded complexes of the criterion-06 mix."""
+    for seed in range(count):
+        n = 6 + seed % 7
+        density = (0.35, 0.5, 0.65)[seed % 3]
+        drop = 0.0 if seed % 2 == 0 else 0.15
+        yield random_complex(seed, n, density, ground=3 + seed % 3, drop=drop)
+
+
+def test_homology_matches_dense_oracle():
+    cases = [(cx, max_dim) for cx in (RP2, HOLLOW, SPHERE, POINTS) for max_dim in (None, 0, 1, 3)]
+    # (seed // 2) % 4 varies independently of the mix's drop (seed % 2)
+    cases += [(cx, (None, 0, 1, 3)[(seed // 2) % 4]) for seed, cx in enumerate(_crit06_mix())]
+    dims = set()
+    for cx, max_dim in cases:
+        assert homology(cx, max_dim=max_dim) == dense_homology(cx, max_dim=max_dim), (cx, max_dim)
+        dims.add(cx.dimension)
+    assert dims >= {0, 1, 2, 3, 4, 5}
+
+
+def test_link_homology_matches_dense_oracle(loop33, amalgam33):
+    f_vectors = []
+    for system, height in ((loop33, 10), (amalgam33, 9)):
+        for x in gt.sf_vertices_at_height(height, system.table, system.base):
+            cx = gt.descending_link(x, system.table, system.base).to_complex()
+            f_vectors.append(cx.f_vector())
+            for max_dim in (None, 0, 1):
+                assert homology(cx, max_dim=max_dim) == dense_homology(cx, max_dim=max_dim)
+    assert f_vectors == [(200,), (126, 315)]
+
+
+def test_boundary_of_boundary_guard_fires(monkeypatch):
+    real = simplicial.boundary_matrix
+
+    def flipped(cx, d):
+        cols = real(cx, d)
+        if d == 2:
+            row, sign = next(iter(cols[0].items()))
+            cols[0][row] = -sign
+        return cols
+
+    monkeypatch.setattr(simplicial, "boundary_matrix", flipped)
+    with pytest.raises(InvariantViolation):
+        homology(SPHERE)
+
+
+def test_faces_match_their_definitions():
+    for cx in itertools.islice(_crit06_mix(), 0, 500, 5):
+        faces = [f for level in cx.faces for f in level]
+        assert all(f == tuple(sorted(set(f))) for f in faces)
+        assert cx.maximal_faces == tuple(
+            sorted(
+                (f for f in faces if not any(set(f) < set(g) for g in faces)),
+                key=lambda f: (len(f), f),
+            )
+        )
+        candidates = [c for size in range(4) for c in itertools.combinations(cx.vertices, size)]
+        candidates += [f + (v,) for f in faces for v in cx.vertices if v > f[-1]]
+        for c in candidates:
+            expected = any(set(c) <= set(m) for m in cx.maximal_faces)
+            assert cx.is_face(c) == expected, (cx, c)
+            assert cx.is_face(reversed(c)) == expected
 
 
 def test_pseudosimplex_examples():
@@ -184,8 +338,8 @@ def exhaustive_flag_check(cx: SimplicialComplex, sigma, m: int) -> FlagCheck:
 
     def joined(a, b) -> bool:
         if a == b:
-            return frozenset({a}) in single_faces
-        return frozenset({a, b}) in pair_faces
+            return (a,) in single_faces
+        return tuple(sorted((a, b))) in pair_faces
 
     rhos = _pseudosimplices_up_to(cx, m, m + 2)
     taus = [
@@ -296,7 +450,7 @@ def test_connectivity_bound_validates_args():
 
 def test_random_complex_determinism_and_extremes():
     assert random_complex(42, 9, 0.4, ground=3) == random_complex(42, 9, 0.4, ground=3)
-    assert random_complex(1, 5, 1.0).maximal_faces == (frozenset(range(5)),)
+    assert random_complex(1, 5, 1.0).maximal_faces == (tuple(range(5)),)
     assert all(len(f) == 1 for f in random_complex(1, 5, 0.0).maximal_faces)
     with pytest.raises(ValidationError):
         random_complex(1, 5, 1.5)
