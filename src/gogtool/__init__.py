@@ -39,7 +39,6 @@ from .model import (
     GogDocument,
     GraphOfGroups,
     HalfEdge,
-    TreeDegreeReport,
     augment,
     example_family,
     glue,
@@ -85,11 +84,9 @@ from .stein_farley import (
     DescendingLink,
     LinkReport,
     LinkVertex,
-    SFVertex,
     descending_link,
     link_connectivity_report,
     link_difference,
-    links_equal,
     oracle_descending_link,
     sf_vertices_at_height,
     sf_vertices_at_height_enumerated,

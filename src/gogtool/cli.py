@@ -133,7 +133,7 @@ def _cmd_validate(args) -> tuple[int, dict[str, str]]:
             }
             for e in g.edges
         },
-        "tree_degrees": tree_degrees(g).as_dict(),
+        "tree_degrees": tree_degrees(g),
         "gates_in_file": [str(h) for h in doc.gates],
         "order": list(doc.order) if doc.order else None,
         "valid": True,
@@ -143,7 +143,7 @@ def _cmd_validate(args) -> tuple[int, dict[str, str]]:
 
 def _cmd_degrees(args) -> tuple[int, dict[str, str]]:
     doc = _load_doc(args.file)
-    return 0, {"degrees.json": _dumps(tree_degrees(doc.graph).as_dict())}
+    return 0, {"degrees.json": _dumps(tree_degrees(doc.graph))}
 
 
 def _cmd_augment(args) -> tuple[int, dict[str, str]]:
@@ -221,7 +221,7 @@ def _cmd_sf(args) -> tuple[int, dict[str, str]]:
     report = {
         "height": args.height,
         "vertices": [
-            {"interior": v.counts.interior, "leaves": list(v.counts.leaves)} for v in verts
+            {"interior": v.interior, "leaves": list(v.leaves)} for v in verts
         ],
     }
     return 0, {"sf.json": _dumps(report)}
@@ -238,12 +238,7 @@ def _cmd_desclink(args) -> tuple[int, dict[str, str]]:
     for i, x in enumerate(verts):
         link = descending_link(x, table, base, max_vertices=args.max_link_vertices)
         rep = link_connectivity_report(
-            x,
-            table,
-            base,
-            m_max=args.m_max,
-            link=link,
-            dickson_box=args.dickson_box,
+            link, table, base, m_max=args.m_max, dickson_box=args.dickson_box
         )
         body = rep.to_json_dict()
         if args.oracle:

@@ -181,7 +181,6 @@ class DicksonBasis:
     minimal: tuple[Vec, ...]
     complete: bool
     box: int
-    description: str = ""
 
     def dominates(self, p: Vec) -> bool:
         return any(all(p[i] >= b[i] for i in range(len(p))) for b in self.minimal)
@@ -207,7 +206,6 @@ def dickson_minimal(
     pred: Callable[[Vec], bool],
     dim: int,
     box: int = DEFAULT_DICKSON_BOX,
-    description: str = "",
 ) -> DicksonBasis:
     """Minimal true points of a monotone predicate within [0, box]^dim.
 
@@ -247,7 +245,7 @@ def dickson_minimal(
                     f"predicate is not monotone: true at {b} but false at {up}"
                 )
 
-    return DicksonBasis(tuple(sorted(basis)), complete, box, description)
+    return DicksonBasis(tuple(sorted(basis)), complete, box)
 
 
 # -- the rearrangement predicate and its constants ------------------------
@@ -318,7 +316,7 @@ def _alphas(rho: Sequence[int], table, base: CountVector, box: int, reported: in
     exhausted box reports the partial bound of type ``reported``."""
     k = len(table.I)
     pred = elementary_expansion_predicate(rho, table, base)
-    basis = dickson_minimal(pred, k, box, description=f"elementary expansion by {tuple(sorted(rho))}")
+    basis = dickson_minimal(pred, k, box)
     if not basis.complete:
         partial = max((b[reported] for b in basis.minimal), default=0)
         raise DicksonBoxExhausted(

@@ -60,9 +60,6 @@ class GateSystem:
         except KeyError:
             raise ValidationError(f"{h} is not a gate") from None
 
-    def type_name(self, i: int) -> str:
-        return str(self.gates[i])
-
 
 def default_gates(g: GraphOfGroups, vertex_order: tuple[str, ...] | None = None) -> GateSystem:
     """The standard admissible system from a total order on the vertices.

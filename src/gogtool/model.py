@@ -178,26 +178,14 @@ class GraphOfGroups:
         return sum(self.index(h) for h in self.halfedges_at(v))
 
 
-@dataclass(frozen=True)
-class TreeDegreeReport:
-    """Per-vertex degree of any lift in the local tree model."""
-
-    degrees: tuple[tuple[str, int], ...]
-
-    def __getitem__(self, v: str) -> int:
-        return dict(self.degrees)[v]
-
-    def as_dict(self) -> dict[str, int]:
-        return dict(self.degrees)
-
-
-def tree_degrees(g: GraphOfGroups) -> TreeDegreeReport:
-    """Degree of a tree vertex over v: the sum of the indices at v.
+def tree_degrees(g: GraphOfGroups) -> dict[str, int]:
+    """Degree of any tree vertex over v, per vertex v: the sum of the
+    indices at v.
 
     The local tree is locally finite exactly because the graph is finite
     and every index is finite.
     """
-    return TreeDegreeReport(tuple((v, g.degree(v)) for v in g.vertices))
+    return {v: g.degree(v) for v in g.vertices}
 
 
 def augment(g: GraphOfGroups) -> GraphOfGroups:

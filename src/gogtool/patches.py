@@ -18,9 +18,7 @@ and deduplication are plain set operations on interior sets, which are
 several times smaller than node sets.
 
 Admissible patches additionally have every leaf entered through a gate,
-so their root is always interior.  The canonical order of patches
-(``sort_key``) still compares sorted node tuples: it fixes the row order
-of enumeration reports, which stays as it was.
+so their root is always interior.
 """
 
 from __future__ import annotations
@@ -235,7 +233,19 @@ class TreePatch:
         return self.system == other.system and other.interior <= self.interior
 
     def sort_key(self):
-        return (len(self.nodes), tuple(sorted(self.nodes)))
+        """Size, then sorted interior: the order of (size, sorted nodes).
+
+        For equal sizes, let a be the first address where the sorted
+        interiors differ, interior in A but not in B, so A sorts first.
+        Earlier addresses have the same status in both, hence the same
+        nodes, and a is the root or its parent is interior in both: a is
+        interior in A and a leaf of B.  A's next node is a child of a and
+        B's lies past a's subtree, so A also sorts first by nodes.  Neither
+        interior is a prefix of the other: B's would then be a proper
+        subset of A's, and as TreeSystem rejects degree < 2, each extra
+        interior vertex adds a node, making A larger.
+        """
+        return (self.size, tuple(sorted(self.interior)))
 
 
 # -- growth --------------------------------------------------------------
@@ -305,9 +315,6 @@ class Caret:
     gate: HalfEdge
     terminal_leaf_types: tuple[tuple[HalfEdge, int], ...]
     interior_count: int
-
-    def terminal_total(self) -> int:
-        return sum(n for _, n in self.terminal_leaf_types)
 
 
 def caret(g: GraphOfGroups, gs: GateSystem, nu: HalfEdge) -> Caret:
@@ -409,26 +416,24 @@ def history(t: TreePatch, t0: TreePatch) -> History:
     return History(tuple(n))
 
 
-def tree_union(t1: TreePatch, t2: TreePatch) -> TreePatch:
+def _combine(t1: TreePatch, t2: TreePatch, op, what: str) -> TreePatch:
+    """The patch whose interior is ``op`` of the operands' interiors."""
     if t1.system != t2.system:
         raise ValidationError("patches come from incompatible enumerations")
     t1.require_admissible("first patch")
     t2.require_admissible("second patch")
-    out = TreePatch(t1.system, t1.interior | t2.interior)
+    out = TreePatch(t1.system, op(t1.interior, t2.interior))
     if not out.is_admissible():
-        raise InvariantViolation("union of admissible patches is not admissible")
+        raise InvariantViolation(f"{what} of admissible patches is not admissible")
     return out
+
+
+def tree_union(t1: TreePatch, t2: TreePatch) -> TreePatch:
+    return _combine(t1, t2, frozenset.union, "union")
 
 
 def tree_intersection(t1: TreePatch, t2: TreePatch) -> TreePatch:
-    if t1.system != t2.system:
-        raise ValidationError("patches come from incompatible enumerations")
-    t1.require_admissible("first patch")
-    t2.require_admissible("second patch")
-    out = TreePatch(t1.system, t1.interior & t2.interior)
-    if not out.is_admissible():
-        raise InvariantViolation("intersection of admissible patches is not admissible")
-    return out
+    return _combine(t1, t2, frozenset.intersection, "intersection")
 
 
 # -- enumeration -----------------------------------------------------------

@@ -1,10 +1,10 @@
 """Expansion-complex vertices as count classes and their descending links.
 
 A vertex of the expansion complex is an equivalence class of admissible
-trees determined by its count vector (interior count and typed leaf
-counts); its height is the total number of leaves.  A descending move
-contracts a caret whose terminal leaves sit inside the tree's leaf set,
-so the descending link is a matching-style complex: vertices are
+trees determined by its count vector, so a count class is a
+``CountVector``; its height is the total number of leaves.  A descending
+move contracts a caret whose terminal leaves sit inside the tree's leaf
+set, so the descending link is a matching-style complex: vertices are
 (caret type, labelled leaf subset) pairs, and a set of them spans a face
 iff the subsets are pairwise disjoint and the residual counts are
 realizable with enough residual leaves of each type to re-attach every
@@ -19,7 +19,8 @@ faces.  The two constructions differ only in where the allowed mu come
 from: the fast path grows them from count data alone (only claimed for
 systems with the viral expansion property), while the definition-level
 oracle reads them off an explicit tree enumeration and is compared
-against the fast path at desk scale.
+against the fast path at desk scale.  The connectivity report reads
+only the link it is given, the planted ground face included.
 """
 
 from __future__ import annotations
@@ -27,7 +28,6 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-from functools import cache
 
 from .count_algebra import (
     DEFAULT_DICKSON_BOX,
@@ -59,17 +59,6 @@ DEFAULT_LINK_VERTEX_CAP = 100_000
 LEMMA_CHECK_CAP = 400
 
 
-@dataclass(frozen=True, order=True)
-class SFVertex:
-    """A count class of admissible trees."""
-
-    counts: CountVector
-
-    @property
-    def height(self) -> int:
-        return self.counts.height
-
-
 def is_viral(table: CaretTable, base: CountVector) -> bool:
     k = len(table.I)
     return all(table.M[i][i] >= 3 for i in range(k)) and all(
@@ -77,7 +66,7 @@ def is_viral(table: CaretTable, base: CountVector) -> bool:
     )
 
 
-def sf_vertices_at_height(h: int, table: CaretTable, base: CountVector) -> tuple[SFVertex, ...]:
+def sf_vertices_at_height(h: int, table: CaretTable, base: CountVector) -> tuple[CountVector, ...]:
     """All realizable count classes of height h.
 
     Requires every caret to strictly increase the leaf count (true under
@@ -99,7 +88,7 @@ def sf_vertices_at_height(h: int, table: CaretTable, base: CountVector) -> tuple
         predict_counts(History(n), table, base)
         for n in weighted_vectors(delta, adds)
     }
-    return tuple(SFVertex(c) for c in sorted(out))
+    return tuple(sorted(out))
 
 
 def sf_vertices_at_height_enumerated(
@@ -109,12 +98,12 @@ def sf_vertices_at_height_enumerated(
     t0: TreePatch,
     max_expansions: int,
     max_trees: int = DEFAULT_TREE_BUDGET,
-) -> tuple[SFVertex, ...]:
+) -> tuple[CountVector, ...]:
     """Fallback for non-viral systems: read count classes off an explicit
     bounded tree enumeration (complete only within the expansion bound)."""
     trees = enumerate_admissible(g, gs, t0, max_expansions, max_trees)
     found = {t.counts() for t in trees}
-    return tuple(SFVertex(c) for c in sorted(found) if c.height == h)
+    return tuple(c for c in sorted(found) if c.height == h)
 
 
 @dataclass(frozen=True, order=True)
@@ -138,21 +127,13 @@ class DescendingLink:
     themselves.
     """
 
-    x: SFVertex
+    x: CountVector
     vertices: tuple[LinkVertex, ...]
     higher_faces: tuple[tuple[tuple[int, ...], ...], ...]
 
     @property
     def f_vector(self) -> tuple[int, ...]:
         return (len(self.vertices),) + tuple(len(fs) for fs in self.higher_faces)
-
-    @property
-    def edge_count(self) -> int:
-        return len(self.higher_faces[0]) if self.higher_faces else 0
-
-    @property
-    def dimension(self) -> int:
-        return len(self.higher_faces)
 
     def to_complex(self) -> SimplicialComplex:
         n = len(self.vertices)
@@ -161,18 +142,12 @@ class DescendingLink:
 
     def to_json_dict(self) -> dict:
         return {
-            "x": {"interior": self.x.counts.interior, "leaves": list(self.x.counts.leaves)},
+            "x": {"interior": self.x.interior, "leaves": list(self.x.leaves)},
             "height": self.x.height,
             "f_vector": list(self.f_vector),
             "vertices": [v.to_json_dict() for v in self.vertices],
             "maximal_faces": [list(f) for f in self.to_complex().maximal_faces],
         }
-
-
-def _residual_checker(x: SFVertex, table: CaretTable, base: CountVector):
-    """``elementary_expansion_ok`` at the counts of x, memoised on the
-    caret-type multiset mu."""
-    return cache(lambda mu: elementary_expansion_ok(x.counts, mu, table, base))
 
 
 def _faces(mu: tuple[int, ...], table: CaretTable, leaves: tuple[int, ...]):
@@ -209,11 +184,11 @@ def _faces(mu: tuple[int, ...], table: CaretTable, leaves: tuple[int, ...]):
 
 
 def _link_from_multisets(
-    x: SFVertex, table: CaretTable, layers: list[set[tuple[int, ...]]]
+    x: CountVector, table: CaretTable, layers: list[set[tuple[int, ...]]]
 ) -> DescendingLink:
     """The link whose dimension-d faces are the labelled faces of the
     caret-type multisets in ``layers[d]``."""
-    leaves = x.counts.leaves
+    leaves = x.leaves
     vertices = tuple(
         sorted(v for layer in layers[:1] for mu in layer for (v,) in _faces(mu, table, leaves))
     )
@@ -232,7 +207,7 @@ def _link_from_multisets(
 
 
 def descending_link(
-    x: SFVertex,
+    x: CountVector,
     table: CaretTable,
     base: CountVector,
     max_vertices: int = DEFAULT_LINK_VERTEX_CAP,
@@ -240,10 +215,10 @@ def descending_link(
     """Fast-path construction of the descending link from count data only.
 
     The allowed caret-type multisets grow layer by layer from the single
-    carets: a multiset is kept when ``ok`` holds for it and every multiset
-    one caret smaller was kept.  Only claimed for systems with the viral
-    expansion property; the oracle below validates the reduction at desk
-    scale.
+    carets: a multiset is kept when ``elementary_expansion_ok`` holds for
+    it and every multiset one caret smaller was kept.  Only claimed for
+    systems with the viral expansion property; the oracle below validates
+    the reduction at desk scale.
     """
     if not is_viral(table, base):
         raise ValidationError(
@@ -251,11 +226,9 @@ def descending_link(
             "systems with the viral expansion property; use the oracle instead"
         )
     k = len(table.I)
-    leaves = x.counts.leaves
-    ok = _residual_checker(x, table, base)
-
+    leaves = x.leaves
     singles = [tuple(int(t == j) for t in range(k)) for j in range(k)]
-    kept = [j for j in range(k) if ok(singles[j])]
+    kept = [j for j in range(k) if elementary_expansion_ok(x, singles[j], table, base)]
     total = sum(math.prod(math.comb(leaves[i], table.M[i][j]) for i in range(k)) for j in kept)
     if total > max_vertices:
         raise CapExceeded(f"descending link would have more than {max_vertices} vertices")
@@ -272,7 +245,7 @@ def descending_link(
                 for i in range(k)
                 if mu[i]
             )
-            and ok(mu)
+            and elementary_expansion_ok(x, mu, table, base)
         }
     return _link_from_multisets(x, table, layers)
 
@@ -299,7 +272,7 @@ def _removable_carets(t: TreePatch, t0: TreePatch) -> list[tuple]:
 
 
 def oracle_descending_link(
-    x: SFVertex,
+    x: CountVector,
     g: GraphOfGroups,
     gs: GateSystem,
     t0: TreePatch,
@@ -316,12 +289,12 @@ def oracle_descending_link(
     t0.require_admissible("t0")
     table = caret_table(g, gs)
     base = t0.counts()
-    delta = x.counts.interior - base.interior
+    delta = x.interior - base.interior
 
     mus: set[tuple[int, ...]] = set()
     if delta >= 0:
         for t in enumerate_admissible(g, gs, t0, delta, max_trees):
-            if t.counts() != x.counts:
+            if t.counts() != x:
                 continue
             types = [j for _, j in _removable_carets(t, t0)]
             mus.update(itertools.product(*(range(types.count(j) + 1) for j in range(gs.k))))
@@ -353,16 +326,12 @@ def link_difference(a: DescendingLink, b: DescendingLink) -> str | None:
     return None
 
 
-def links_equal(a: DescendingLink, b: DescendingLink) -> bool:
-    return link_difference(a, b) is None
-
-
 # -- connectivity reports -----------------------------------------------
 
 
 @dataclass(frozen=True)
 class LinkReport:
-    x: SFVertex
+    x: CountVector
     f_vector: tuple[int, ...]
     betti: tuple[int, ...] | None
     betti_note: str
@@ -371,7 +340,7 @@ class LinkReport:
 
     def to_json_dict(self) -> dict:
         return {
-            "x": {"interior": self.x.counts.interior, "leaves": list(self.x.counts.leaves)},
+            "x": {"interior": self.x.interior, "leaves": list(self.x.leaves)},
             "height": self.x.height,
             "f_vector": list(self.f_vector),
             "betti": list(self.betti) if self.betti is not None else None,
@@ -392,11 +361,10 @@ CSV_HEADER = "height,vertices,edges,f_vector,betti,threshold_status"
 
 
 def link_connectivity_report(
-    x: SFVertex,
+    link: DescendingLink,
     table: CaretTable,
     base: CountVector,
     m_max: int = 0,
-    link: DescendingLink | None = None,
     dickson_box: int = DEFAULT_DICKSON_BOX,
 ) -> LinkReport:
     """Homology of the descending link juxtaposed with the threshold
@@ -406,8 +374,7 @@ def link_connectivity_report(
     connectivity-lemma checker is run with that face as the ground
     pseudosimplex (ground parameter k = beta).
     """
-    if link is None:
-        link = descending_link(x, table, base)
+    x = link.x
     cx = link.to_complex()
     if link.vertices:
         betti_report = homology(cx, max_dim=max(m_max, 1))
@@ -422,14 +389,13 @@ def link_connectivity_report(
         th = compute_thresholds(m, table, base, box=dickson_box)
         side = "below" if x.height < th.r else "at or above"
         status = f"m={m}: height {x.height} {side} threshold r({m})={th.r}"
-        sigma_result: str
         want = th.C // 2
         if not link.vertices:
             sigma_result = "no vertices, no ground pseudosimplex"
         elif len(link.vertices) > LEMMA_CHECK_CAP:
             sigma_result = f"lemma check skipped (link exceeds cap {LEMMA_CHECK_CAP})"
         else:
-            sigma = _planted_same_type_face(link, table, base, want)
+            sigma = _planted_same_type_face(link, cx, table, want)
             if sigma is None:
                 sigma_result = (
                     f"no face of {want} same-type carets exists at this height"
@@ -463,18 +429,15 @@ def link_connectivity_report(
 
 
 def _planted_same_type_face(
-    link: DescendingLink, table: CaretTable, base: CountVector, size: int
+    link: DescendingLink, cx: SimplicialComplex, table: CaretTable, size: int
 ) -> tuple[int, ...] | None:
-    """The first link face made of ``size`` disjoint type-1 carets, if any."""
-    if size <= 0:
-        return None
-    k = len(table.I)
-    ok = _residual_checker(link.x, table, base)
-    if not all(ok(tuple(n if t == 0 else 0 for t in range(k))) for n in range(1, size + 1)):
-        return None
-    mu = tuple(size if t == 0 else 0 for t in range(k))
-    face = next(_faces(mu, table, link.x.counts.leaves), None)
-    if face is None:
-        return None
+    """The first face of ``size`` type-1 carets that ``_faces`` yields, if
+    ``cx``, the link's complex, holds it.  A link holds every labelled face
+    of a caret-type multiset or none, so the first one decides."""
+    mu = tuple(size if t == 0 else 0 for t in range(len(table.I)))
+    face = next(_faces(mu, table, link.x.leaves), None)
     index = {v: i for i, v in enumerate(link.vertices)}
-    return tuple(index[v] for v in face)
+    if face is None or any(v not in index for v in face):
+        return None
+    sigma = tuple(index[v] for v in face)
+    return sigma if sigma in cx.faces_of_size(size) else None

@@ -387,3 +387,21 @@ def test_node_set_oracle_on_loop33_pairs(loop33: System):
         assert_node_form(t)
     for _ in range(400):
         assert_node_set_oracle(*rng.sample(trees, 2))
+
+
+def node_tuple_key(t):
+    """The canonical order as first defined: size, then sorted node tuple."""
+    return (len(t.nodes), tuple(sorted(t.nodes)))
+
+
+def test_sort_key_matches_node_tuple_order(loop33: System, bs23_aug: System):
+    rng = random.Random(1729)
+    randoms = [make_system(random_gog(rng, max_vertices=3, min_degree_two=True)) for _ in range(20)]
+    systems = [(loop33, 3), (bs23_aug, 3)] + [(sys, 2) for sys in randoms]
+    ties = 0
+    for sys, depth in systems:
+        trees = gt.enumerate_admissible(sys.g, sys.gs, sys.t0, depth, max_trees=10_000)
+        rng.shuffle(trees)
+        assert sorted(trees, key=gt.TreePatch.sort_key) == sorted(trees, key=node_tuple_key)
+        ties += len(trees) - len({t.size for t in trees})
+    assert ties > 1000  # most trees share their size with another one

@@ -6,17 +6,17 @@ from types import SimpleNamespace
 import pytest
 
 import gogtool as gt
+from gogtool.count_algebra import elementary_expansion_ok
 from gogtool.errors import CapExceeded, ValidationError
 from gogtool.stein_farley import (
     DescendingLink,
     LinkVertex,
-    SFVertex,
     _faces,
+    _planted_same_type_face,
     descending_link,
     is_viral,
     link_connectivity_report,
     link_difference,
-    links_equal,
     oracle_descending_link,
     sf_vertices_at_height,
     sf_vertices_at_height_enumerated,
@@ -26,7 +26,7 @@ from conftest import System
 
 
 def xv(interior, leaves):
-    return SFVertex(gt.CountVector(interior, leaves))
+    return gt.CountVector(interior, leaves)
 
 
 def test_sf_vertices_examples(loop33: System):
@@ -53,7 +53,7 @@ def test_descending_link_base_is_empty(loop33: System):
 def test_descending_link_200_isolated_vertices(loop33: System):
     link = descending_link(xv(2, (5, 5)), loop33.table, loop33.base)
     assert link.f_vector == (200,)
-    assert link.edge_count == 0
+    assert not link.higher_faces
     per_type = {0: 0, 1: 0}
     for v in link.vertices:
         per_type[v.caret_type] += 1
@@ -71,7 +71,7 @@ def test_descending_link_height14(loop33: System):
         mu = [0, 0]
         mu[link.vertices[a].caret_type] += 1
         mu[link.vertices[b].caret_type] += 1
-        res = link.x.counts.interior - sum(
+        res = link.x.interior - sum(
             loop33.table.I[j] * mu[j] for j in range(2)
         )
         assert res >= loop33.base.interior
@@ -107,7 +107,7 @@ def test_oracle_equivalence_small_heights(loop33: System, amalgam33: System):
             for x in sf_vertices_at_height(h, sys.table, sys.base):
                 fast = descending_link(x, sys.table, sys.base)
                 slow = oracle_descending_link(x, sys.g, sys.gs, sys.t0)
-                assert links_equal(fast, slow)
+                assert link_difference(fast, slow) is None
                 nonempty += bool(fast.vertices)
     assert nonempty == 2  # loop(3,3) h10 (200 vertices), amalgam(3,3) h6 (15)
 
@@ -117,7 +117,7 @@ def test_oracle_equivalence_bs23_aug_base(bs23_aug: System):
     fast = descending_link(x, bs23_aug.table, bs23_aug.base)
     slow = oracle_descending_link(x, bs23_aug.g, bs23_aug.gs, bs23_aug.t0)
     assert fast.f_vector == (0,)
-    assert links_equal(fast, slow)
+    assert link_difference(fast, slow) is None
 
 
 def test_link_difference_reports_witness(loop33: System):
@@ -140,8 +140,8 @@ def test_link_to_complex_and_json(loop33: System):
 
 
 def test_link_report_below_threshold(loop33: System):
-    x = xv(2, (5, 5))
-    rep = link_connectivity_report(x, loop33.table, loop33.base, m_max=0)
+    link = descending_link(xv(2, (5, 5)), loop33.table, loop33.base)
+    rep = link_connectivity_report(link, loop33.table, loop33.base, m_max=0)
     assert rep.betti is not None and rep.betti[0] == 200
     assert rep.per_m[0]["r"] == 36
     assert "below" in rep.per_m[0]["status"]
@@ -153,13 +153,15 @@ def test_link_report_below_threshold(loop33: System):
 
 
 def test_link_report_empty_link(loop33: System):
-    rep = link_connectivity_report(xv(1, (3, 3)), loop33.table, loop33.base, m_max=0)
+    link = descending_link(xv(1, (3, 3)), loop33.table, loop33.base)
+    rep = link_connectivity_report(link, loop33.table, loop33.base, m_max=0)
     assert rep.betti is None
     assert "(-1)-connected" in rep.betti_note
 
 
 def test_link_report_json_schema(loop33: System):
-    rep = link_connectivity_report(xv(2, (5, 5)), loop33.table, loop33.base, m_max=0)
+    link = descending_link(xv(2, (5, 5)), loop33.table, loop33.base)
+    rep = link_connectivity_report(link, loop33.table, loop33.base, m_max=0)
     data = rep.to_json_dict()
     assert set(data) >= {"x", "height", "f_vector", "betti", "thresholds", "caveats"}
     assert data["thresholds"][0]["beta"] == 5
@@ -246,9 +248,43 @@ def test_face_counts_match_closed_form(loop33: System, amalgam33: System):
         (x,) = sf_vertices_at_height(h, sys.table, sys.base)
         link = descending_link(x, sys.table, sys.base)
         assert link.f_vector == f_vector
-        k = len(x.counts.leaves)
+        k = len(x.leaves)
         types = [v.caret_type for v in link.vertices]
         for faces in [[(i,) for i in range(len(types))], *link.higher_faces]:
             by_mu = Counter(tuple(sum(types[i] == j for i in f) for j in range(k)) for f in faces)
             for mu, n in by_mu.items():
-                assert n == closed_form(mu, sys.table.M, x.counts.leaves), (h, mu)
+                assert n == closed_form(mu, sys.table.M, x.leaves), (h, mu)
+
+
+def test_planted_face_read_from_link(loop33: System, amalgam33: System, bs23_aug: System):
+    # no bundled system reaches a planted face under LEMMA_CHECK_CAP, so
+    # call the lookup directly on larger links; the bs23_aug link is empty
+    # although its leaves fit a type-1 caret
+    found = missing = 0
+    cases = ((loop33, 10), (loop33, 14), (amalgam33, 9), (amalgam33, 12), (bs23_aug, 15))
+    for sys, h in cases:
+        (x,) = sf_vertices_at_height(h, sys.table, sys.base)
+        link = descending_link(x, sys.table, sys.base)
+        cx = link.to_complex()
+        k = len(x.leaves)
+        for size in range(1, 5):
+            # the definition: every i carets of type 1, i <= size, can be
+            # removed together
+            expected = all(
+                elementary_expansion_ok(x, (i,) + (0,) * (k - 1), sys.table, sys.base)
+                for i in range(1, size + 1)
+            )
+            sigma = _planted_same_type_face(link, cx, sys.table, size)
+            if expected:
+                assert len(sigma) == size and cx.is_face(sigma), (h, size)
+                assert all(link.vertices[i].caret_type == 0 for i in sigma)
+                found += 1
+                if size > 1:
+                    # the face is read from the link: a link built only
+                    # below dimension size-1 does not hold it
+                    low = DescendingLink(x, link.vertices, link.higher_faces[: size - 2])
+                    assert _planted_same_type_face(low, low.to_complex(), sys.table, size) is None
+            else:
+                assert sigma is None, (h, size)
+                missing += 1
+    assert found and missing
