@@ -25,8 +25,6 @@ from functools import cached_property
 from .errors import ValidationError
 from .model import GraphOfGroups, HalfEdge
 
-DEFAULT_GATE_NOTE = "for each non-loop edge the half-edge at the higher endpoint; both half-edges for loops"
-
 
 @dataclass(frozen=True)
 class GateSystem:

@@ -4,8 +4,12 @@ Instead of materialising the infinite tree, a patch lives in a
 deterministic ambient enumeration rooted at a chosen vertex: the
 children of a vertex are ordered by (half-edge, lift index), the edge to
 child ``(h, i)`` exits through half-edge ``h`` and is entered at the
-child through ``opp(h)``, so a vertex is named by its *address*, the
-tuple of steps from the root.
+child through ``opp(h)``, its *entry*, so a vertex is named by its
+*address*, the tuple of steps from the root.  The tree system numbers
+entries by their place among the sorted half-edges and steps by their
+place among the sorted (half-edge, lift) pairs, so addresses are tuples
+of ints and the hot paths read only integer tables.  The numbering keeps
+the order, so sorted addresses keep the order of the pair form.
 
 Every vertex of a patch is either a leaf or has all its children, so a
 patch is fixed by its set of interior addresses, and that set is all it
@@ -39,9 +43,9 @@ from .errors import (
 from .gates import AdmissibilityCertificate, GateSystem, is_admissible
 from .model import GraphOfGroups, HalfEdge
 
-Step = tuple[HalfEdge, int]
+Step = int
 Address = tuple[Step, ...]
-Leaf = tuple[Address, HalfEdge | None]
+Leaf = tuple[Address, int]
 
 NODE_BUDGET = 1_000_000
 DEFAULT_TREE_BUDGET = 200_000
@@ -54,6 +58,12 @@ class TreeSystem:
 
     Two patches can be combined only if their systems are equal; this is
     what "embedded in a common ambient enumeration" means operationally.
+    The system numbers the model once, in five tables: ``entries`` (the
+    sorted half-edges, then None for the root), ``steps`` (the sorted
+    (half-edge, lift) pairs), ``children[entry]`` (the child steps of a
+    vertex with that entry, each mapped to the child's entry),
+    ``gate_type[entry]`` (None for a non-gate) and ``step_entry[step]``.
+    Step numbers depend on the graph alone.
     """
 
     graph: GraphOfGroups
@@ -72,6 +82,30 @@ class TreeSystem:
                     f"vertex {v!r} has tree degree {d} < 2: the local tree model "
                     "would have leaves, which this toolkit rejects"
                 )
+        g = self.graph
+        halves = g.half_edges()
+        entries = halves + (None,)
+        steps = tuple((h, i) for h in halves for i in range(g.index(h)))
+        entry_no = {h: n for n, h in enumerate(entries)}
+        step_no = {s: n for n, s in enumerate(steps)}
+        # a vertex has index(h) lifts of each half-edge h at its label, one
+        # fewer for the half-edge it was entered through
+        children = tuple(
+            {
+                step_no[h, i]: entry_no[h.opposite()]
+                for h in g.halfedges_at(self.root if e is None else g.vertex_of(e))
+                for i in range(g.index(h) - (h == e))
+            }
+            for e in entries
+        )
+        # the dataclass is frozen, so the tables go straight into __dict__
+        vars(self).update(
+            entries=entries,
+            steps=steps,
+            children=children,
+            gate_type=tuple(self.gates.type_index(e) if e in self.gates else None for e in entries),
+            step_entry=tuple(entry_no[h.opposite()] for h, _ in steps),
+        )
 
     @cached_property
     def certificate(self) -> AdmissibilityCertificate:
@@ -86,63 +120,26 @@ class TreeSystem:
                 f"witness entry-state cycle: [{cyc}]"
             )
 
-    # hot-path tables: label, entry and child steps depend only on the
-    # last step of an address
-
-    @cached_property
-    def _step_targets(self) -> dict[HalfEdge, tuple[str, HalfEdge]]:
-        out = {}
-        for h in self.graph.half_edges():
-            o = h.opposite()
-            out[h] = (self.graph.vertex_of(o), o)
-        return out
-
-    @cached_property
-    def _child_steps(self) -> dict[HalfEdge | None, dict[Step, HalfEdge]]:
-        # keyed by entry half-edge, which fixes the label (None: the root);
-        # a vertex has index(h) lifts of each half-edge h at its label, one
-        # fewer for the half-edge it was entered through
-        g = self.graph
-        targets = self._step_targets
-
-        def steps(label: str, entry: HalfEdge | None) -> dict[Step, HalfEdge]:
-            return {
-                (h, i): targets[h][1]
-                for h in g.halfedges_at(label)
-                for i in range(g.index(h) - (h == entry))
-            }
-
-        out = {None: steps(self.root, None)}
-        for h in g.half_edges():
-            out[h] = steps(g.vertex_of(h), h)
-        return out
+    def entry_of(self, addr: Address) -> int:
+        """The entry number of the vertex at ``addr``."""
+        return self.step_entry[addr[-1]] if addr else len(self.entries) - 1
 
     def label_of(self, addr: Address) -> str:
-        if not addr:
-            return self.root
-        return self._step_targets[addr[-1][0]][0]
-
-    def entry_of(self, addr: Address) -> HalfEdge | None:
-        if not addr:
-            return None
-        return self._step_targets[addr[-1][0]][1]
-
-    def child_steps(self, addr: Address) -> dict[Step, HalfEdge]:
-        """The steps to the children of the vertex at ``addr``, in
-        enumeration order, each mapped to the child's entry half-edge."""
-        return self._child_steps[self.entry_of(addr)]
+        entry = self.entries[self.entry_of(addr)]
+        return self.root if entry is None else self.graph.vertex_of(entry)
 
 
 def _leaves(system: TreeSystem, interior: frozenset[Address] | set[Address]) -> list[Leaf]:
     """Leaves of the patch with this interior set, with their entry
-    half-edges, in no particular order: the children of interior vertices
-    that are not interior, or the bare root (entry None) when the interior
-    is empty."""
+    numbers, in no particular order: the children of interior vertices
+    that are not interior, or the bare root when the interior is empty."""
     if not interior:
-        return [((), None)]
+        return [((), system.entry_of(()))]
+    children, step_entry = system.children, system.step_entry
+    root_children = children[-1]  # the root's entry comes last
     out = []
     for a in interior:
-        for step, entry in system.child_steps(a).items():
+        for step, entry in (children[step_entry[a[-1]]] if a else root_children).items():
             child = a + (step,)
             if child not in interior:
                 out.append((child, entry))
@@ -160,16 +157,16 @@ class TreePatch:
     def __post_init__(self):
         system = self.system
         interior = self.interior
-        for addr in interior:
+        # parents first, so each parent's entry is known to be valid
+        for addr in sorted(interior, key=len):
             if not addr:
                 continue
             parent = addr[:-1]
             if parent not in interior:
                 raise ValidationError(f"interior set is not prefix-closed at {addr}")
-            if addr[-1] not in system.child_steps(parent):
-                h, i = addr[-1]
+            if addr[-1] not in system.children[system.entry_of(parent)]:
                 raise ValidationError(
-                    f"step {h}[{i}] is not a child step of the vertex at {parent} "
+                    f"step {addr[-1]!r} is not a child step of the vertex at {parent} "
                     f"(label {system.label_of(parent)!r})"
                 )
 
@@ -191,20 +188,20 @@ class TreePatch:
     def is_graph_leaf(self, addr: Address) -> bool:
         return addr in self.nodes and addr not in self.interior
 
-    def leaves(self) -> tuple[Leaf, ...]:
+    def leaves(self) -> tuple[tuple[Address, HalfEdge | None], ...]:
         """All graph leaves, sorted, with their entry half-edges (None at
         the root)."""
-        return tuple(sorted(self._leaf_list))
+        entries = self.system.entries
+        return tuple((a, entries[e]) for a, e in sorted(self._leaf_list))
 
     def typed_leaves(self) -> list[tuple[Address, HalfEdge]]:
         """Leaves whose entry half-edge is a gate, i.e. admissible leaves."""
-        gs = self.system.gates
-        return [(a, e) for a, e in self.leaves() if e in gs]
+        return [(a, e) for a, e in self.leaves() if e in self.system.gates]
 
     @cached_property
     def _admissible(self) -> bool:
-        gate_index = self.system.gates._index
-        return all(e in gate_index for _, e in self._leaf_list)
+        gate_type = self.system.gate_type
+        return all(gate_type[e] is not None for _, e in self._leaf_list)
 
     def is_admissible(self) -> bool:
         return self._admissible
@@ -216,10 +213,8 @@ class TreePatch:
 
     @cached_property
     def _counts(self) -> CountVector:
-        gs = self.system.gates
-        census = Counter(e for _, e in self._leaf_list if e in gs)
-        leaves = tuple(census.get(h, 0) for h in gs.gates)
-        return CountVector(len(self.interior), leaves)
+        census = Counter(self.system.gate_type[e] for _, e in self._leaf_list)
+        return CountVector(len(self.interior), tuple(census[i] for i in range(self.system.gates.k)))
 
     def counts(self) -> CountVector:
         """Interior count and typed-leaf census.
@@ -251,7 +246,7 @@ class TreePatch:
 # -- growth --------------------------------------------------------------
 
 
-def _expand_vertex(system: TreeSystem, addr: Address, entry: HalfEdge | None) -> set[Address]:
+def _expand_vertex(system: TreeSystem, addr: Address, entry: int) -> set[Address]:
     """Interior addresses of the minimal forced completion below ``addr``.
 
     Makes ``addr`` interior and recursively expands every child whose
@@ -259,22 +254,21 @@ def _expand_vertex(system: TreeSystem, addr: Address, entry: HalfEdge | None) ->
     of the gate system, which is checked up front.
     """
     system.require_admissible()
-    gate_index = system.gates._index
-    table = system._child_steps
+    children, gate_type = system.children, system.gate_type
     new: set[Address] = set()
     grown = 0
-    stack: list[tuple[Address, HalfEdge | None]] = [(addr, entry)]
+    stack: list[tuple[Address, int]] = [(addr, entry)]
     while stack:
         a, ent = stack.pop()
         new.add(a)
-        children = table[ent]
-        grown += len(children)
+        kids = children[ent]
+        grown += len(kids)
         if grown > NODE_BUDGET:
             raise CapExceeded(
                 f"growth below {addr} exceeded the node budget of {NODE_BUDGET}"
             )
-        for step, child_entry in children.items():
-            if child_entry not in gate_index:
+        for step, child_entry in kids.items():
+            if gate_type[child_entry] is None:
                 stack.append((a + (step,), child_entry))
     return new
 
@@ -299,7 +293,7 @@ def base_tree(g: GraphOfGroups, gs: GateSystem, seed: "TreePatch | str") -> Tree
     system.require_admissible()
     grown = set(interior)
     for a, e in _leaves(system, interior):
-        if e not in gs:
+        if system.gate_type[e] is None:
             grown |= _expand_vertex(system, a, e)
     return TreePatch(system, frozenset(grown))
 
@@ -320,7 +314,7 @@ class Caret:
 def caret(g: GraphOfGroups, gs: GateSystem, nu: HalfEdge) -> Caret:
     """Grow the caret of gate type ``nu``.
 
-    The caret grows below the child ``((opp(nu), 0),)`` of a root at
+    The caret grows below the child ``(opp(nu), 0)`` of a root at
     ``vertex_of(opp(nu))``, which is entered through ``nu``: that vertex
     is expanded to full degree and every new leaf whose entry is not a
     gate is expanded in turn; growth terminates exactly when the gate
@@ -330,11 +324,12 @@ def caret(g: GraphOfGroups, gs: GateSystem, nu: HalfEdge) -> Caret:
         raise ValidationError(f"{nu} is not a gate of the system")
     system = TreeSystem(g, gs, root=g.vertex_of(nu.opposite()))
     system.require_admissible()
-    interior = _expand_vertex(system, ((nu.opposite(), 0),), nu)
+    step = system.steps.index((nu.opposite(), 0))
+    interior = _expand_vertex(system, (step,), system.step_entry[step])
     census = Counter(e for _, e in _leaves(system, interior))
     return Caret(
         gate=nu,
-        terminal_leaf_types=tuple(sorted(census.items())),
+        terminal_leaf_types=tuple((system.entries[e], n) for e, n in sorted(census.items())),
         interior_count=len(interior),
     )
 
@@ -388,10 +383,11 @@ def expand_leaf(t: TreePatch, leaf: Address) -> TreePatch:
         raise ValidationError(f"address {leaf} is not in the patch")
     if not t.is_graph_leaf(leaf):
         raise ValidationError(f"address {leaf} is not a leaf")
-    entry = t.system.entry_of(leaf)
-    if entry not in t.system.gates:
-        raise ValidationError(f"leaf {leaf} has no gate type (entry {entry})")
-    return TreePatch(t.system, t.interior | _expand_vertex(t.system, leaf, entry))
+    system = t.system
+    entry = system.entry_of(leaf)
+    if system.gate_type[entry] is None:
+        raise ValidationError(f"leaf {leaf} has no gate type (entry {system.entries[entry]})")
+    return TreePatch(system, t.interior | _expand_vertex(system, leaf, entry))
 
 
 def history(t: TreePatch, t0: TreePatch) -> History:
@@ -407,13 +403,10 @@ def history(t: TreePatch, t0: TreePatch) -> History:
         raise ValidationError("t0 is not a subtree of t")
     t0.require_admissible("t0")
     t.require_admissible("t")
-    gs = t.system.gates
-    n = [0] * gs.k
-    for addr in t.interior - t0.interior:
-        e = t.system.entry_of(addr)
-        if e in gs:
-            n[gs.type_index(e)] += 1
-    return History(tuple(n))
+    gate_type, step_entry = t.system.gate_type, t.system.step_entry
+    # t0 is admissible, so its interior holds the root
+    census = Counter(gate_type[step_entry[a[-1]]] for a in t.interior - t0.interior)
+    return History(tuple(census[i] for i in range(t.system.gates.k)))
 
 
 def _combine(t1: TreePatch, t2: TreePatch, op, what: str) -> TreePatch:
@@ -458,24 +451,23 @@ def enumerate_admissible(
         raise ValidationError("t0 belongs to a different system")
     t0.require_admissible("t0")
     system = t0.system
-    seen: set[frozenset[Address]] = {t0.interior}
-    frontier = [t0.interior]
+    # each patch caches its leaf list, which both growth and sorting read
+    seen: dict[frozenset[Address], TreePatch] = {t0.interior: t0}
+    frontier = [t0]
     for _ in range(max_expansions):
-        nxt: list[frozenset[Address]] = []
-        for interior in frontier:
-            for leaf, entry in _leaves(system, interior):
-                grown = interior.union(_expand_vertex(system, leaf, entry))
+        nxt: list[TreePatch] = []
+        for t in frontier:
+            for leaf, entry in t._leaf_list:
+                grown = t.interior.union(_expand_vertex(system, leaf, entry))
                 if grown not in seen:
-                    seen.add(grown)
+                    seen[grown] = TreePatch(system, grown)
                     if len(seen) > max_trees:
                         raise CapExceeded(
                             f"enumeration exceeded the cap of {max_trees} trees"
                         )
-                    nxt.append(grown)
+                    nxt.append(seen[grown])
         frontier = nxt
-    patches = [TreePatch(system, interior) for interior in seen]
-    patches.sort(key=TreePatch.sort_key)
-    return patches
+    return sorted(seen.values(), key=TreePatch.sort_key)
 
 
 # -- interval lattices -------------------------------------------------------
@@ -724,18 +716,19 @@ def check_viral(
 def patch_to_dot(t: TreePatch, name: str = "patch") -> str:
     """Deterministic DOT rendering: vertices carry their graph labels,
     leaves their entry half-edge and gate type."""
-    gs = t.system.gates
+    system = t.system
     nodes = sorted(t.nodes)
     ids = {addr: f"n{i}" for i, addr in enumerate(nodes)}
     lines = [f"graph {name} {{", "  node [shape=circle];"]
     for addr in nodes:
-        label = t.system.label_of(addr)
+        label = system.label_of(addr)
         if t.is_graph_leaf(addr):
-            entry = t.system.entry_of(addr)
+            e = system.entry_of(addr)
+            entry, ty = system.entries[e], system.gate_type[e]
             if entry is None:
                 extra = "\\nleaf (untyped)"
-            elif entry in gs:
-                extra = f"\\nleaf {entry} (type {gs.type_index(entry) + 1})"
+            elif ty is not None:
+                extra = f"\\nleaf {entry} (type {ty + 1})"
             else:
                 extra = f"\\nleaf {entry} (no gate)"
         else:
@@ -743,7 +736,7 @@ def patch_to_dot(t: TreePatch, name: str = "patch") -> str:
         lines.append(f'  {ids[addr]} [label="{label}{extra}"];')
     for addr in nodes:
         if addr:
-            h, i = addr[-1]
+            h, i = system.steps[addr[-1]]
             lines.append(f'  {ids[addr[:-1]]} -- {ids[addr]} [label="{h.edge}[{i}]"];')
     lines.append("}")
     return "\n".join(lines) + "\n"

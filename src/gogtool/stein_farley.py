@@ -258,16 +258,16 @@ def _removable_carets(t: TreePatch, t0: TreePatch) -> list[tuple]:
     whose entire subtree is exactly the caret material.  Removing any
     subset of them leaves an admissible tree containing t0."""
     system = t.system
-    gs = system.gates
     out = []
     for addr in sorted(t.interior - t0.interior):
-        entry = system.entry_of(addr)
-        if entry not in gs:
+        entry = system.step_entry[addr[-1]]
+        ty = system.gate_type[entry]
+        if ty is None:
             continue
         depth = len(addr)
         below = {a for a in t.interior if a[:depth] == addr}
         if below == _expand_vertex(system, addr, entry):
-            out.append((addr, gs.type_index(entry)))
+            out.append((addr, ty))
     return out
 
 

@@ -132,7 +132,7 @@ def test_criterion_04_order_invariance():
                 hist = gt.history(final, sys.t0)
                 census = [0] * sys.gs.k
                 for addr in seq:
-                    census[sys.gs.type_index(sys.t0.system.entry_of(addr))] += 1
+                    census[sys.t0.system.gate_type[sys.t0.system.entry_of(addr)]] += 1
                 assert hist == gt.History(tuple(census))
                 valid = 0
                 for perm in set(itertools.permutations(seq)):

@@ -114,6 +114,26 @@ def test_enumerate_output_pinned(capsys):
     )
 
 
+@pytest.mark.parametrize(
+    "argv,digest",
+    [
+        (
+            ("loop33.gog", "--max-expansions", "1"),
+            "0074fec510c9707b1577eb31fab96b5e8cc20dbb711b762233cb752345330aa8",
+        ),
+        (
+            ("amalgam33.gog", "--root", "w", "--max-expansions", "1"),
+            "109f0804cceac27fb0bab9053c45acdb8c24496610b3f829ce8a961905e8b9bd",
+        ),
+    ],
+)
+def test_enumerate_dot_pinned(capsys, argv, digest):
+    # patch_to_dot decodes step numbers into edge labels and lifts
+    code, out, _ = run(capsys, "enumerate", str(DATA / argv[0]), *argv[1:], "--dot")
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
 def test_sf_heights(capsys):
     code, out, _ = run(capsys, "sf", str(DATA / "loop33.gog"), "--height", "10")
     assert code == 0

@@ -13,7 +13,7 @@ from gogtool.errors import (
 )
 from gogtool.model import Edge, GraphOfGroups, HalfEdge
 
-from conftest import System, make_system, oracle_caret_census, random_gog
+from conftest import DATA, System, make_system, oracle_caret_census, random_gog
 
 
 def test_caret_loop33(loop33: System):
@@ -123,7 +123,7 @@ def test_expand_disjoint_leaves_commute(loop33: System):
 
 def test_expand_leaf_errors(loop33: System):
     with pytest.raises(ValidationError, match="not in the patch"):
-        gt.expand_leaf(loop33.t0, ((HalfEdge("e", "iota"), 99),))
+        gt.expand_leaf(loop33.t0, (0, 0))
     with pytest.raises(ValidationError, match="not a leaf"):
         gt.expand_leaf(loop33.t0, ())
 
@@ -317,20 +317,96 @@ def test_check_viral_repair_budget(triple: System):
     assert any("budget" in line for line in rep.repair_trace)
 
 
+def numbering_systems():
+    """Tree systems at every root of the bundled systems and of 20 seeded
+    random ones."""
+    rng = random.Random(808)
+    graphs = [gt.parse_gog(path.read_text()) for path in sorted(DATA.glob("*.gog"))]
+    graphs += [random_gog(rng, min_degree_two=True) for _ in range(20)]
+    for g in graphs:
+        gs = gt.default_gates(g)
+        for root in g.vertices:
+            yield gt.TreeSystem(g, gs, root)
+
+
+def test_step_numbers_keep_address_order():
+    rng = random.Random(4040)
+    for system in numbering_systems():
+        addrs = []
+        for _ in range(200):
+            addr = ()
+            for _ in range(rng.randint(0, 4)):
+                addr += (rng.choice(list(system.children[system.entry_of(addr)])),)
+            addrs.append(addr)
+        decoded = [tuple(system.steps[s] for s in a) for a in addrs]
+        assert [tuple(system.steps[s] for s in a) for a in sorted(addrs)] == sorted(decoded)
+
+
+def test_child_tables_match_definition():
+    count = 0
+    for system in numbering_systems():
+        g = system.graph
+        assert list(system.entries) == sorted(g.half_edges()) + [None]
+        assert list(system.steps) == sorted(system.steps)
+        for e, entry in enumerate(system.entries):
+            label = system.root if entry is None else g.vertex_of(entry)
+            kids = system.children[e]
+            assert list(kids) == sorted(kids)
+            assert len(kids) == g.degree(label) - (entry is not None)
+            for s, child in kids.items():
+                h, lift = system.steps[s]
+                assert g.vertex_of(h) == label
+                assert lift < g.index(h) - (h == entry)
+                assert system.entries[child] == h.opposite() == system.entries[system.step_entry[s]]
+                count += 1
+            gate = None if entry not in system.gates else system.gates.type_index(entry)
+            assert system.gate_type[e] == gate
+    assert count > 1000
+
+
+def test_tree_hot_paths_hash_no_half_edges(loop33: System, monkeypatch):
+    calls = 0
+    hash_half_edge = HalfEdge.__hash__
+
+    def counted(self):
+        nonlocal calls
+        calls += 1
+        return hash_half_edge(self)
+
+    monkeypatch.setattr(HalfEdge, "__hash__", counted)
+    rng = random.Random(99)
+    trees = gt.enumerate_admissible(loop33.g, loop33.gs, loop33.t0, 3)
+    for _ in range(200):
+        a, b = rng.sample(trees, 2)
+        gt.tree_union(a, b)
+        gt.tree_intersection(a, b)
+    for t in rng.sample(trees, 300):
+        gt.history(t, loop33.t0)
+        t.counts()
+    assert calls == 0
+    assert HalfEdge("e", "iota") in loop33.gs and calls == 1  # the counter counts
+
+
 def test_patch_validation_rejects_bad_interiors(loop33: System):
     system = loop33.t0.system
     iota, tau = HalfEdge("e", "iota"), HalfEdge("e", "tau")
+    i0, t1, t2 = (system.steps.index(s) for s in ((iota, 0), (tau, 1), (tau, 2)))
     with pytest.raises(ValidationError, match="prefix-closed"):
-        gt.TreePatch(system, frozenset({((iota, 0),)}))
+        gt.TreePatch(system, frozenset({(i0,)}))
+    # loop33 has six steps, three lifts of each half-edge of e: a step that
+    # does not exist, such as (e.iota, 3), has no number in the system
+    n = len(system.steps)
+    bad = [{(), (n,)}, {(), (-1,)}]
+    # below a foreign step too, in whatever order the set yields the two
+    bad += [{(), (s,), (s, 0)} for s in range(n, n + 8)]
+    for interior in bad:
+        with pytest.raises(ValidationError, match="not a child step"):
+            gt.TreePatch(system, frozenset(interior))
+    # the child reached through e.iota is entered through e.tau, so it has
+    # only two lifts of e.tau
     with pytest.raises(ValidationError, match="not a child step"):
-        gt.TreePatch(system, frozenset({(), ((HalfEdge("f", "iota"), 0),)}))
-    # the root has three lifts of e.iota; the child reached through e.iota
-    # is entered through e.tau, so it has only two lifts of e.tau
-    with pytest.raises(ValidationError, match="not a child step"):
-        gt.TreePatch(system, frozenset({(), ((iota, 3),)}))
-    with pytest.raises(ValidationError, match="not a child step"):
-        gt.TreePatch(system, frozenset({(), ((iota, 0),), ((iota, 0), (tau, 2))}))
-    gt.TreePatch(system, frozenset({(), ((iota, 0),), ((iota, 0), (tau, 1))}))
+        gt.TreePatch(system, frozenset({(), (i0,), (i0, t2)}))
+    gt.TreePatch(system, frozenset({(), (i0,), (i0, t1)}))
 
 
 def test_patch_to_dot_deterministic(loop33: System):
@@ -354,7 +430,7 @@ def assert_node_form(t):
     parents = {a[:-1] for a in t.nodes if a}
     assert parents == t.interior
     for p in parents:
-        assert {p + (s,) for s in t.system.child_steps(p)} <= t.nodes
+        assert {p + (s,) for s in t.system.children[t.system.entry_of(p)]} <= t.nodes
 
 
 def assert_node_set_oracle(a, b):
