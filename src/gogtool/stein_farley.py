@@ -14,7 +14,7 @@ Leaf slots within a type are interchangeable positions 1..L_i; any
 type-preserving relabelling of leaves is realised by an actual
 rearrangement, which is what justifies working with labelled subsets.
 So a face is fixed by its caret-type multiset mu plus a slot assignment,
-and one generator, ``_faces``, turns each allowed mu into its labelled
+and one builder, ``_link``, turns the allowed mu into their labelled
 faces.  The two constructions differ only in where the allowed mu come
 from: the fast path grows them from count data alone (only claimed for
 systems with the viral expansion property), while the definition-level
@@ -25,8 +25,10 @@ only the link it is given, the planted ground face included.
 
 from __future__ import annotations
 
+import heapq
 import itertools
 import math
+from collections.abc import Callable
 from dataclasses import dataclass
 
 from .count_algebra import (
@@ -150,60 +152,53 @@ class DescendingLink:
         }
 
 
-def _faces(mu: tuple[int, ...], table: CaretTable, leaves: tuple[int, ...]):
-    """Every labelled face of the caret-type multiset ``mu``, each once.
+def _link(x: CountVector, table: CaretTable, keep: Callable[[tuple], bool]) -> DescendingLink:
+    """The link whose faces are the labelled faces of the caret-type
+    multisets mu that ``keep`` allows.
 
-    A face holds one LinkVertex per caret, with slot subsets pairwise
-    disjoint within each gate type.  Carets come by type, and carets of
-    one type in strictly increasing LinkVertex order; being disjoint, they
-    are ordered by the first slot of their first nonempty group, so that
-    slot is drawn above the previous caret's.  Faces come out as
-    increasing tuples of LinkVertex.
+    Each type j with ``keep(e_j)`` contributes its vertices in LinkVertex
+    order, so types occupy increasing index ranges, and each vertex gets a
+    bitmask of its leaf slots.  mu is tried when every mu - e_i was kept,
+    and kept when ``keep(mu)`` holds.  A face of mu is a face of mu - e_j,
+    j the largest type in mu, plus a type-j vertex past its last index
+    whose mask misses its mask.  The last vertex of a face of mu has type
+    j, and removing it leaves the face it grew from; so each face is built
+    exactly once, as an increasing index tuple.  The faces of one mu come
+    out increasing, so merging those of a layer sorts it.
     """
-    k = len(leaves)
-    carets = [j for j in range(k) for _ in range(mu[j])]
-    first = {j: next(i for i in range(k) if table.M[i][j]) for j in set(carets)}
-
-    def rec(idx: int, free: tuple[tuple[int, ...], ...], acc: list[LinkVertex]):
-        if idx == len(carets):
-            yield tuple(acc)
-            return
-        j, g = carets[idx], first[carets[idx]]
-        lo = acc[-1].slots[g][0] if acc and acc[-1].caret_type == j else -1
-        pools = [
-            itertools.combinations(
-                [s for s in free[i] if s > lo] if i == g else free[i], table.M[i][j]
-            )
-            for i in range(k)
-        ]
-        for choice in itertools.product(*pools):
-            rest = tuple(tuple(s for s in free[i] if s not in choice[i]) for i in range(k))
-            yield from rec(idx + 1, rest, acc + [LinkVertex(j, choice)])
-
-    yield from rec(0, tuple(tuple(range(n)) for n in leaves), [])
-
-
-def _link_from_multisets(
-    x: CountVector, table: CaretTable, layers: list[set[tuple[int, ...]]]
-) -> DescendingLink:
-    """The link whose dimension-d faces are the labelled faces of the
-    caret-type multisets in ``layers[d]``."""
-    leaves = x.leaves
-    vertices = tuple(
-        sorted(v for layer in layers[:1] for mu in layer for (v,) in _faces(mu, table, leaves))
-    )
-    index = {v: i for i, v in enumerate(vertices)}
-    higher = tuple(
-        tuple(
-            sorted(
-                tuple(index[v] for v in face)
-                for mu in layer
-                for face in _faces(mu, table, leaves)
-            )
-        )
-        for layer in layers[1:]
-    )
-    return DescendingLink(x, vertices, higher)
+    k = len(x.leaves)
+    units = [tuple(int(t == j) for t in range(k)) for j in range(k)]
+    vertices, masks, spans = [], [], {}
+    for j in (j for j in range(k) if keep(units[j])):
+        lo = len(vertices)
+        for choice in itertools.product(
+            *(itertools.combinations(range(n), table.M[i][j]) for i, n in enumerate(x.leaves))
+        ):
+            vertices.append(LinkVertex(j, choice))
+            masks.append(sum(1 << (s * k + i) for i in range(k) for s in choice[i]))
+        spans[j] = (lo, len(vertices))
+    # faces index through one shared tuple, so equal indices are one int object
+    ids = tuple(range(len(vertices)))
+    layer = {units[j]: [(v,) for v in ids[lo:hi]] for j, (lo, hi) in spans.items()}
+    higher = []
+    while True:
+        grown = {tuple(n + (t == j) for t, n in enumerate(nu)) for nu in layer for j in range(k)}
+        kept = {}
+        for mu in grown:
+            # subs[-1] is mu - e_j for the largest type j in mu
+            subs = [tuple(n - (t == i) for t, n in enumerate(mu)) for i in range(k) if mu[i]]
+            if not (all(nu in layer for nu in subs) and keep(mu)):
+                continue
+            lo, hi = spans[max(i for i in range(k) if mu[i])]
+            faces = kept[mu] = []
+            for face in layer[subs[-1]]:
+                used = sum(masks[v] for v in face)  # the masks are disjoint
+                start = max(lo, face[-1] + 1)
+                faces += [face + (v,) for v, m in zip(ids[start:hi], masks[start:hi]) if not used & m]
+        if not kept:
+            return DescendingLink(x, tuple(vertices), tuple(higher))
+        higher.append(tuple(heapq.merge(*kept.values())))
+        layer = kept
 
 
 def descending_link(
@@ -214,40 +209,25 @@ def descending_link(
 ) -> DescendingLink:
     """Fast-path construction of the descending link from count data only.
 
-    The allowed caret-type multisets grow layer by layer from the single
-    carets: a multiset is kept when ``elementary_expansion_ok`` holds for
-    it and every multiset one caret smaller was kept.  Only claimed for
+    The allowed caret-type multisets are those ``elementary_expansion_ok``
+    accepts, grown from the single carets by ``_link``.  Only claimed for
     systems with the viral expansion property; the oracle below validates
     the reduction at desk scale.
     """
     if not is_viral(table, base):
         raise ValidationError(
-            "descending_link's count-level face predicate is only claimed for "
-            "systems with the viral expansion property; use the oracle instead"
+            "the fast-path descending link needs the viral expansion property; "
+            "run `gogtool viral` on this system"
         )
     k = len(table.I)
-    leaves = x.leaves
-    singles = [tuple(int(t == j) for t in range(k)) for j in range(k)]
-    kept = [j for j in range(k) if elementary_expansion_ok(x, singles[j], table, base)]
-    total = sum(math.prod(math.comb(leaves[i], table.M[i][j]) for i in range(k)) for j in kept)
+    total = sum(
+        math.prod(math.comb(x.leaves[i], table.M[i][j]) for i in range(k))
+        for j in range(k)
+        if elementary_expansion_ok(x, tuple(int(t == j) for t in range(k)), table, base)
+    )
     if total > max_vertices:
         raise CapExceeded(f"descending link would have more than {max_vertices} vertices")
-    layers = []
-    layer = {singles[j] for j in kept}
-    while layer:
-        layers.append(layer)
-        grown = {tuple(n + (t == j) for t, n in enumerate(nu)) for nu in layer for j in range(k)}
-        layer = {
-            mu
-            for mu in grown
-            if all(
-                tuple(n - (t == i) for t, n in enumerate(mu)) in layers[-1]
-                for i in range(k)
-                if mu[i]
-            )
-            and elementary_expansion_ok(x, mu, table, base)
-        }
-    return _link_from_multisets(x, table, layers)
+    return _link(x, table, lambda mu: elementary_expansion_ok(x, mu, table, base))
 
 
 # -- definition-level oracle ---------------------------------------------
@@ -283,8 +263,9 @@ def oracle_descending_link(
     Enumerates every admissible tree with the counts of x and reads off
     the caret-type multiset of every set of removable carets.  Every
     type-preserving leaf matching is realised by a rearrangement, so each
-    multiset contributes all its labelled faces, built by the generator
-    the fast path uses.
+    multiset contributes all its labelled faces, which ``_link`` builds as
+    on the fast path; the multisets found are downward closed, so every
+    one of them is tried.
     """
     t0.require_admissible("t0")
     table = caret_table(g, gs)
@@ -298,10 +279,7 @@ def oracle_descending_link(
                 continue
             types = [j for _, j in _removable_carets(t, t0)]
             mus.update(itertools.product(*(range(types.count(j) + 1) for j in range(gs.k))))
-    mus.discard(tuple(0 for _ in range(gs.k)))
-    top = max(map(sum, mus), default=0)
-    layers = [{mu for mu in mus if sum(mu) == s} for s in range(1, top + 1)]
-    return _link_from_multisets(x, table, layers)
+    return _link(x, table, mus.__contains__)
 
 
 def link_difference(a: DescendingLink, b: DescendingLink) -> str | None:
@@ -395,7 +373,7 @@ def link_connectivity_report(
         elif len(link.vertices) > LEMMA_CHECK_CAP:
             sigma_result = f"lemma check skipped (link exceeds cap {LEMMA_CHECK_CAP})"
         else:
-            sigma = _planted_same_type_face(link, cx, table, want)
+            sigma = _planted_same_type_face(link, cx, want)
             if sigma is None:
                 sigma_result = (
                     f"no face of {want} same-type carets exists at this height"
@@ -429,15 +407,14 @@ def link_connectivity_report(
 
 
 def _planted_same_type_face(
-    link: DescendingLink, cx: SimplicialComplex, table: CaretTable, size: int
+    link: DescendingLink, cx: SimplicialComplex, size: int
 ) -> tuple[int, ...] | None:
-    """The first face of ``size`` type-1 carets that ``_faces`` yields, if
-    ``cx``, the link's complex, holds it.  A link holds every labelled face
-    of a caret-type multiset or none, so the first one decides."""
-    mu = tuple(size if t == 0 else 0 for t in range(len(table.I)))
-    face = next(_faces(mu, table, link.x.leaves), None)
-    index = {v: i for i, v in enumerate(link.vertices)}
-    if face is None or any(v not in index for v in face):
-        return None
-    sigma = tuple(index[v] for v in face)
-    return sigma if sigma in cx.faces_of_size(size) else None
+    """The least face of ``size`` type-1 carets in ``cx``, the link's
+    complex, or None.  Types occupy increasing index ranges, type 1 first,
+    so a face whose last vertex has type 1 is all type 1.  A link holds
+    every labelled face of a caret-type multiset or none, so the least
+    one stands for them all, whatever order ``cx`` keeps its faces in."""
+    return min(
+        (f for f in cx.faces_of_size(size) if link.vertices[f[-1]].caret_type == 0),
+        default=None,
+    )

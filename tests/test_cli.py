@@ -165,6 +165,44 @@ def test_desclink_with_oracle(capsys, tmp_path):
     assert csv[1].startswith("10,200,0,")
 
 
+@pytest.mark.parametrize(
+    "argv,digests",
+    [
+        (
+            ("loop33.gog", "--height", "14"),
+            {
+                "desclink.csv": "1269c8baaf922c5a8c7bc8e895a94ae05f8bf6838c72e097d25f533b872041c6",
+                "desclink.json": "c07e6e4f1524e8e66c33483c9ebd2d56437d7afc3804c14b611d7068fbb07f2c",
+                "link_h14_0.json": "061af426616988fa2354aa8ae5e2f67598c421d7dc148286615a23682cc41c2c",
+            },
+        ),
+        (
+            ("amalgam33.gog", "--height", "9"),
+            {
+                "desclink.csv": "5a36a31ac2d27ce07123c966139bb6bd910ab1b9b11e2333d6a4cdce1e3859fa",
+                "desclink.json": "6ac5aa8d64508cf049920804a4f42d3383571c92e83331113bdc0d3732cc8d72",
+                "link_h9_0.json": "07115c1a880bd3fa94bc770effe2db1c20e20803ead5d1a2840c27f1d9108a34",
+            },
+        ),
+    ],
+)
+def test_desclink_out_pinned(capsys, tmp_path, argv, digests):
+    code, _, _ = run(
+        capsys, "--out", str(tmp_path), "desclink", str(DATA / argv[0]), *argv[1:], "--m-max", "1"
+    )
+    assert code == 0
+    got = {p.name: hashlib.sha256(p.read_bytes()).hexdigest() for p in tmp_path.iterdir()}
+    assert got == digests
+
+
+def test_desclink_non_viral_points_to_viral(capsys):
+    # the CLI builds the fast-path link first, with --oracle too
+    code, _, err = run(capsys, "desclink", str(DATA / "bs23.gog"), "--height", "5", "--oracle")
+    assert code == 1
+    assert "fast-path descending link needs the viral expansion property" in err
+    assert "`gogtool viral`" in err and "use the oracle" not in err
+
+
 def test_homology_roundtrip(capsys, tmp_path):
     cx = tmp_path / "complex.json"
     cx.write_text(json.dumps({"maximal_faces": [[0, 1], [1, 2], [0, 2]]}))
@@ -335,6 +373,8 @@ BAD_INPUTS = {
     "dickson box 0": ["threshold", LOOP, "-m", "0", "--dickson-box", "0"],
     "dickson box 0, desclink": ["desclink", LOOP, "--height", "10", "--dickson-box", "0"],
     "negative repair-budget": ["viral", str(DATA / "triple.gog"), "--repair-budget", "-1"],
+    "non-viral, desclink": ["desclink", str(DATA / "bs23.gog"), "--height", "5"],
+    "non-viral, desclink --oracle": ["desclink", str(DATA / "bs23.gog"), "--height", "5", "--oracle"],
     "negative vertices": [
         "random-complex", "--seed", "1", "--vertices", "-3", "--density", "0.5",
     ],

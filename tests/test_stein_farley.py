@@ -1,5 +1,8 @@
+import hashlib
 import itertools
+import json
 import math
+import random
 from collections import Counter
 from types import SimpleNamespace
 
@@ -11,7 +14,7 @@ from gogtool.errors import CapExceeded, ValidationError
 from gogtool.stein_farley import (
     DescendingLink,
     LinkVertex,
-    _faces,
+    _link,
     _planted_same_type_face,
     descending_link,
     is_viral,
@@ -168,7 +171,7 @@ def test_link_report_json_schema(loop33: System):
     assert data["thresholds"][0]["C"] == 16
 
 
-# -- the face generator against the definition -----------------------------
+# -- the link builder against the definition -------------------------------
 
 
 def brute_faces(mu, M, leaves) -> list[frozenset]:
@@ -199,27 +202,85 @@ def brute_faces(mu, M, leaves) -> list[frozenset]:
     return found
 
 
+def kept_by_definition(keep, k: int, top: int) -> list[tuple[int, ...]]:
+    """The caret-type multisets of size at most ``top`` whose nonzero
+    sub-multisets all satisfy ``keep``."""
+    out = []
+    for size in range(1, top + 1):
+        for combo in itertools.combinations_with_replacement(range(k), size):
+            mu = tuple(combo.count(j) for j in range(k))
+            subs = itertools.product(*(range(n + 1) for n in mu))
+            if all(keep(nu) for nu in subs if any(nu)):
+                out.append(mu)
+    return out
+
+
+def check_link(M, leaves, keep, brute) -> int:
+    """Compare ``_link`` with the definition; return its face count."""
+    k = len(leaves)
+    link = _link(xv(0, leaves), SimpleNamespace(M=M), keep)
+    kept = kept_by_definition(keep, k, 4)
+    assert list(link.vertices) == sorted(link.vertices)
+    assert len(link.higher_faces) == max(map(sum, kept), default=1) - 1
+    index = {v: i for i, v in enumerate(link.vertices)}
+    levels = [[(i,) for i in range(len(link.vertices))], *link.higher_faces]
+    for size, faces in enumerate(levels, 1):
+        assert all(list(f) == sorted(set(f)) for f in faces)  # strictly increasing
+        assert len(set(faces)) == len(faces), (M, leaves, size)  # each face once
+        expected = {
+            frozenset(index[v] for v in face)
+            for mu in kept
+            if sum(mu) == size
+            for face in brute(mu)
+        }
+        assert set(map(frozenset, faces)) == expected, (M, leaves, size)
+    return sum(link.f_vector)
+
+
+def random_table(rng: random.Random):
+    """k <= 3 gate types, M entries 0..2 with no zero column, and at most
+    six leaves in all."""
+    k = rng.randint(1, 3)
+    while True:
+        M = tuple(tuple(rng.randint(0, 2) for _ in range(k)) for _ in range(k))
+        leaves = tuple(rng.randint(1, 6) for _ in range(k))
+        if sum(leaves) <= 6 and all(any(row[j] for row in M) for j in range(k)):
+            return M, leaves
+
+
 def test_faces_match_definition(loop33: System, amalgam33: System):
+    rng = random.Random(2408)
     cases = [
         (loop33.table.M, (5, 5)),
         (amalgam33.table.M, (9,)),
         (((2, 1), (1, 1)), (5, 4)),
-        # type 2 has no type-1 leaves, so its carets are ordered by type-2 slots
+        # type 2 takes no type-1 leaves
         (((1, 0, 1), (1, 2, 0), (0, 1, 1)), (3, 4, 2)),
     ]
+    cases += [random_table(rng) for _ in range(30)]
     nonempty = 0
     for M, leaves in cases:
         k = len(leaves)
-        for size in range(1, 5):
-            for combo in itertools.combinations_with_replacement(range(k), size):
-                mu = tuple(combo.count(j) for j in range(k))
-                got = list(_faces(mu, SimpleNamespace(M=M), leaves))
-                assert all(list(f) == sorted(set(f)) for f in got)  # strictly increasing
-                counts = Counter(frozenset(f) for f in got)
-                assert set(counts.values()) <= {1}, (M, leaves, mu)
-                assert set(counts) == set(brute_faces(mu, M, leaves)), (M, leaves, mu)
-                nonempty += bool(got)
-    assert nonempty >= 20
+        memo = {}
+
+        def brute(mu):
+            if mu not in memo:
+                memo[mu] = brute_faces(mu, M, leaves)
+            return memo[mu]
+
+        small = kept_by_definition(lambda mu: True, k, 3)
+        # a downward-closed keep: below one of a few seeded multisets
+        tops = rng.sample(small, min(len(small), rng.randint(1, 3)))
+
+        def below_tops(mu):
+            return any(all(a <= b for a, b in zip(mu, top)) for top in tops)
+
+        # and one that is not: a multiset is only tried when all the
+        # multisets one caret smaller were kept
+        scattered = set(rng.sample(small, len(small) * 2 // 3))
+        for keep in (lambda mu: sum(mu) <= 3, below_tops, scattered.__contains__):
+            nonempty += bool(check_link(M, leaves, keep, brute))
+    assert nonempty >= 60
 
 
 def closed_form(mu, M, leaves) -> int:
@@ -274,7 +335,7 @@ def test_planted_face_read_from_link(loop33: System, amalgam33: System, bs23_aug
                 elementary_expansion_ok(x, (i,) + (0,) * (k - 1), sys.table, sys.base)
                 for i in range(1, size + 1)
             )
-            sigma = _planted_same_type_face(link, cx, sys.table, size)
+            sigma = _planted_same_type_face(link, cx, size)
             if expected:
                 assert len(sigma) == size and cx.is_face(sigma), (h, size)
                 assert all(link.vertices[i].caret_type == 0 for i in sigma)
@@ -283,8 +344,56 @@ def test_planted_face_read_from_link(loop33: System, amalgam33: System, bs23_aug
                     # the face is read from the link: a link built only
                     # below dimension size-1 does not hold it
                     low = DescendingLink(x, link.vertices, link.higher_faces[: size - 2])
-                    assert _planted_same_type_face(low, low.to_complex(), sys.table, size) is None
+                    assert _planted_same_type_face(low, low.to_complex(), size) is None
             else:
                 assert sigma is None, (h, size)
                 missing += 1
     assert found and missing
+
+
+def test_link_builds_hash_no_link_vertices(loop33: System, monkeypatch):
+    calls = 0
+    hash_vertex = LinkVertex.__hash__
+
+    def counted(self):
+        nonlocal calls
+        calls += 1
+        return hash_vertex(self)
+
+    monkeypatch.setattr(LinkVertex, "__hash__", counted)
+    (x10,) = sf_vertices_at_height(10, loop33.table, loop33.base)
+    (x14,) = sf_vertices_at_height(14, loop33.table, loop33.base)
+    descending_link(x14, loop33.table, loop33.base)
+    for x in (x10, x14):
+        oracle_descending_link(x, loop33.g, loop33.gs, loop33.t0)
+    assert calls == 0
+    hash(LinkVertex(0, ((0,),)))
+    assert calls == 1  # the counter counts
+
+
+@pytest.mark.parametrize(
+    "name,height,oracle,digest",
+    [
+        (
+            "amalgam33",
+            12,
+            False,
+            "757f8a9f1419b70bd11ea305edc2ec2cec47bcdbd5a360443fd369a83903c4b8",
+        ),
+        (
+            "loop33",
+            14,
+            True,
+            "d8335c29f5145b8ce310738a97747b037f1bd9d5f41fb89850eb0c6ba4b03436",
+        ),
+    ],
+)
+def test_link_json_pinned(request, name, height, oracle, digest):
+    sys = request.getfixturevalue(name)
+    (x,) = sf_vertices_at_height(height, sys.table, sys.base)
+    if oracle:
+        link = oracle_descending_link(x, sys.g, sys.gs, sys.t0)
+    else:
+        link = descending_link(x, sys.table, sys.base)
+    data = json.dumps(link.to_json_dict(), sort_keys=True)
+    assert hashlib.sha256(data.encode()).hexdigest() == digest
