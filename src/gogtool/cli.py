@@ -214,10 +214,18 @@ def _cmd_enumerate(args) -> tuple[int, dict[str, str]]:
     return 0, artifacts
 
 
+def _sf_vertices(height: int, table, base):
+    try:
+        return sf_vertices_at_height(height, table, base)
+    except ValidationError as exc:  # its advice names a library function
+        msg = "height search needs every caret to increase the leaf count (viral systems do)"
+        raise ValidationError(f"{msg}; run `gogtool viral` on this system") from exc
+
+
 def _cmd_sf(args) -> tuple[int, dict[str, str]]:
     doc, gs, t0 = _load_system(args)
     table = caret_table(doc.graph, gs)
-    verts = sf_vertices_at_height(args.height, table, t0.counts())
+    verts = _sf_vertices(args.height, table, t0.counts())
     report = {
         "height": args.height,
         "vertices": [
@@ -231,7 +239,7 @@ def _cmd_desclink(args) -> tuple[int, dict[str, str]]:
     doc, gs, t0 = _load_system(args)
     table = caret_table(doc.graph, gs)
     base = t0.counts()
-    verts = sf_vertices_at_height(args.height, table, base)
+    verts = _sf_vertices(args.height, table, base)
     artifacts: dict[str, str] = {}
     reports = []
     csv_lines = [CSV_HEADER]

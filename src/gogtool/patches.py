@@ -12,13 +12,14 @@ of ints and the hot paths read only integer tables.  The numbering keeps
 the order, so sorted addresses keep the order of the pair form.
 
 Every vertex of a patch is either a leaf or has all its children, so a
-patch is fixed by its set of interior addresses, and that set is all it
-stores: any prefix-closed set of addresses whose steps are child steps
-of their parents.  The nodes are the interior plus the children of
-interior vertices (the bare root when the interior is empty).  A vertex
-is interior in a union or intersection of two patches exactly when it is
-interior in one or in both of them, so unions, intersections, containment
-and deduplication are plain set operations on interior sets, which are
+patch is fixed by its interior: any prefix-closed set of addresses whose
+steps are child steps of their parents.  It stores that set and its leaf
+list, which ``_grow`` and ``_combine`` derive from their operands'
+lists.  The nodes are the interior plus the children of interior vertices
+(the bare root when the interior is empty).  A vertex is interior in a
+union or intersection of two patches exactly when it is interior in one
+or in both of them, so unions, intersections, containment and
+deduplication are plain set operations on interior sets, which are
 several times smaller than node sets.
 
 Admissible patches additionally have every leaf entered through a gate,
@@ -29,7 +30,7 @@ from __future__ import annotations
 
 import itertools
 from collections import Counter
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 
 from .count_algebra import CountVector, History
@@ -130,9 +131,9 @@ class TreeSystem:
 
 
 def _leaves(system: TreeSystem, interior: frozenset[Address] | set[Address]) -> list[Leaf]:
-    """Leaves of the patch with this interior set, with their entry
-    numbers, in no particular order: the children of interior vertices
-    that are not interior, or the bare root when the interior is empty."""
+    """The leaves of an interior set by definition, for patches with no parent
+    patch: the non-interior children of interior vertices with their entry
+    numbers, in no particular order, or the bare root if the set is empty."""
     if not interior:
         return [((), system.entry_of(()))]
     children, step_entry = system.children, system.step_entry
@@ -153,6 +154,7 @@ class TreePatch:
 
     system: TreeSystem
     interior: frozenset[Address]
+    _leaf_list: list[Leaf] | None = field(default=None, compare=False, repr=False)
 
     def __post_init__(self):
         system = self.system
@@ -169,12 +171,10 @@ class TreePatch:
                     f"step {addr[-1]!r} is not a child step of the vertex at {parent} "
                     f"(label {system.label_of(parent)!r})"
                 )
+        if self._leaf_list is None:
+            object.__setattr__(self, "_leaf_list", _leaves(system, interior))
 
     # -- structure ---------------------------------------------------------
-
-    @cached_property
-    def _leaf_list(self) -> list[Leaf]:
-        return _leaves(self.system, self.interior)
 
     @cached_property
     def nodes(self) -> frozenset[Address]:
@@ -285,14 +285,12 @@ def base_tree(g: GraphOfGroups, gs: GateSystem, seed: "TreePatch | str") -> Tree
     if isinstance(seed, TreePatch):
         if seed.system.graph != g or seed.system.gates != gs:
             raise ValidationError("seed patch belongs to a different system")
-        system = seed.system
-        interior = seed.interior
     else:
-        system = TreeSystem(g, gs, root=seed)
-        interior = frozenset()
+        seed = TreePatch(TreeSystem(g, gs, root=seed), frozenset())
+    system = seed.system
     system.require_admissible()
-    grown = set(interior)
-    for a, e in _leaves(system, interior):
+    grown = set(seed.interior)
+    for a, e in seed._leaf_list:
         if system.gate_type[e] is None:
             grown |= _expand_vertex(system, a, e)
     return TreePatch(system, frozenset(grown))
@@ -387,7 +385,15 @@ def expand_leaf(t: TreePatch, leaf: Address) -> TreePatch:
     entry = system.entry_of(leaf)
     if system.gate_type[entry] is None:
         raise ValidationError(f"leaf {leaf} has no gate type (entry {system.entries[entry]})")
-    return TreePatch(system, t.interior | _expand_vertex(system, leaf, entry))
+    caret = _expand_vertex(system, leaf, entry)
+    return _grow(t, leaf, caret, t.interior | caret)
+
+
+def _grow(t: TreePatch, leaf: Address, caret: set[Address], interior: frozenset[Address]) -> TreePatch:
+    """``t`` grown to ``interior`` by ``caret`` at its leaf ``leaf``.  Nothing of t
+    lies below the leaf, so the leaves are leaves(t) - {leaf} + _leaves(caret)."""
+    leaves = [x for x in t._leaf_list if x[0] != leaf] + _leaves(t.system, caret)
+    return TreePatch(t.system, interior, leaves)
 
 
 def history(t: TreePatch, t0: TreePatch) -> History:
@@ -409,24 +415,39 @@ def history(t: TreePatch, t0: TreePatch) -> History:
     return History(tuple(census[i] for i in range(t.system.gates.k)))
 
 
-def _combine(t1: TreePatch, t2: TreePatch, op, what: str) -> TreePatch:
-    """The patch whose interior is ``op`` of the operands' interiors."""
+def _combine(t1: TreePatch, t2: TreePatch, union: bool) -> TreePatch:
+    """The union or intersection of admissible patches, its leaf list derived
+    from theirs.  Interiors hold the root and are prefix-closed, so a vertex
+    is a node of t exactly when it or its parent is interior in t.  A leaf of
+    I1 | I2 is a leaf of t1 not in I2 or a leaf of t2 not a node of t1; a leaf
+    of I1 & I2 is a leaf of t1 that is a node of t2 or a leaf of t2 in I1.
+    Each such vertex is a leaf of the result, and the two kinds are disjoint."""
     if t1.system != t2.system:
         raise ValidationError("patches come from incompatible enumerations")
     t1.require_admissible("first patch")
     t2.require_admissible("second patch")
-    out = TreePatch(t1.system, op(t1.interior, t2.interior))
+    i1, i2 = t1.interior, t2.interior
+    if union:
+        n1 = t1.nodes
+        leaves = [x for x in t1._leaf_list if x[0] not in i2]
+        leaves += [x for x in t2._leaf_list if x[0] not in n1]
+    else:
+        n2 = t2.nodes
+        leaves = [x for x in t1._leaf_list if x[0] in n2]
+        leaves += [x for x in t2._leaf_list if x[0] in i1]
+    out = TreePatch(t1.system, i1 | i2 if union else i1 & i2, leaves)
     if not out.is_admissible():
+        what = "union" if union else "intersection"
         raise InvariantViolation(f"{what} of admissible patches is not admissible")
     return out
 
 
 def tree_union(t1: TreePatch, t2: TreePatch) -> TreePatch:
-    return _combine(t1, t2, frozenset.union, "union")
+    return _combine(t1, t2, union=True)
 
 
 def tree_intersection(t1: TreePatch, t2: TreePatch) -> TreePatch:
-    return _combine(t1, t2, frozenset.intersection, "intersection")
+    return _combine(t1, t2, union=False)
 
 
 # -- enumeration -----------------------------------------------------------
@@ -458,9 +479,10 @@ def enumerate_admissible(
         nxt: list[TreePatch] = []
         for t in frontier:
             for leaf, entry in t._leaf_list:
-                grown = t.interior.union(_expand_vertex(system, leaf, entry))
+                caret = _expand_vertex(system, leaf, entry)
+                grown = t.interior.union(caret)
                 if grown not in seen:
-                    seen[grown] = TreePatch(system, grown)
+                    seen[grown] = _grow(t, leaf, caret, grown)
                     if len(seen) > max_trees:
                         raise CapExceeded(
                             f"enumeration exceeded the cap of {max_trees} trees"
@@ -511,7 +533,7 @@ def interval_lattice(t: TreePatch, t_prime: TreePatch) -> IntervalLattice:
 
     materials: dict[Address, set[Address]] = {}
     covered: set[Address] = set()
-    for leaf, entry in _leaves(t.system, t.interior):
+    for leaf, entry in t._leaf_list:
         if leaf not in t_prime.interior:
             continue
         mat = _expand_vertex(t.system, leaf, entry)

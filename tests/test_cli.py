@@ -1,11 +1,13 @@
 import hashlib
 import json
 import os
+import re
 import subprocess
 import sys
 
 import pytest
 
+import gogtool as gt
 from gogtool.cli import main
 
 from conftest import DATA
@@ -375,6 +377,8 @@ BAD_INPUTS = {
     "negative repair-budget": ["viral", str(DATA / "triple.gog"), "--repair-budget", "-1"],
     "non-viral, desclink": ["desclink", str(DATA / "bs23.gog"), "--height", "5"],
     "non-viral, desclink --oracle": ["desclink", str(DATA / "bs23.gog"), "--height", "5", "--oracle"],
+    "flat carets, desclink": ["desclink", str(DATA / "z_line.gog"), "--height", "2"],
+    "flat carets, sf": ["sf", str(DATA / "z_line.gog"), "--height", "2"],
     "negative vertices": [
         "random-complex", "--seed", "1", "--vertices", "-3", "--density", "0.5",
     ],
@@ -390,3 +394,5 @@ def test_bad_input_exits_one(capsys, tmp_path, argv):
     assert code == 1
     assert out == ""
     assert err.startswith("error: ") and err.count("\n") == 1, err
+    # the message points at CLI steps, never at a library function
+    assert not set(re.findall(r"\w+", err)) & {n for n in gt.__all__ if "_" in n}, err

@@ -387,6 +387,48 @@ def test_tree_hot_paths_hash_no_half_edges(loop33: System, monkeypatch):
     assert HalfEdge("e", "iota") in loop33.gs and calls == 1  # the counter counts
 
 
+def test_growth_and_combination_walk_no_whole_interior(loop33: System, monkeypatch):
+    """Grown, united and intersected patches derive their leaf lists from
+    their parents': the definition only ever walks one caret."""
+    sizes = []
+    leaves = patches._leaves
+
+    def counted(system, interior):
+        sizes.append(len(interior))
+        return leaves(system, interior)
+
+    monkeypatch.setattr(patches, "_leaves", counted)
+    rng = random.Random(99)
+    trees = gt.enumerate_admissible(loop33.g, loop33.gs, loop33.t0, 3)
+    for _ in range(200):
+        a, b = rng.sample(trees, 2)
+        gt.tree_union(a, b).counts()
+        gt.tree_intersection(a, b).counts()
+    assert sizes and max(sizes) <= max(loop33.table.I)
+
+
+def test_derived_leaf_lists_match_definition():
+    """Grown, united and intersected patches list the leaves the definition
+    gives.  Compared as sorted lists, not sets: a leaf listed twice would
+    change ``size`` and with it ``sort_key``."""
+    rng = random.Random(5673)
+    graphs = [gt.parse_gog(path.read_text()) for path in sorted(DATA.glob("*.gog"))]
+    graphs += [random_gog(rng, min_degree_two=True) for _ in range(20)]
+    for g in graphs:
+        sys = make_system(g)
+        trees = gt.enumerate_admissible(sys.g, sys.gs, sys.t0, 2)
+        if len(trees) <= 100:
+            trees = gt.enumerate_admissible(sys.g, sys.gs, sys.t0, 3)
+        derived = trees[1:]  # all but t0, which has no parent patch
+        for _ in range(300):
+            a, b = rng.choice(trees), rng.choice(trees)
+            derived += [gt.tree_union(a, b), gt.tree_intersection(a, b)]
+        for t in rng.sample(trees, min(3, len(trees))):
+            derived += [gt.expand_leaf(t, a) for a, _ in t.leaves()]
+        for t in derived:
+            assert sorted(t._leaf_list) == sorted(patches._leaves(t.system, t.interior))
+
+
 def test_patch_validation_rejects_bad_interiors(loop33: System):
     system = loop33.t0.system
     iota, tau = HalfEdge("e", "iota"), HalfEdge("e", "tau")
