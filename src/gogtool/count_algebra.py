@@ -82,29 +82,43 @@ def predict_counts(history: History, table, base: CountVector) -> CountVector:
     return CountVector(interior, leaves)
 
 
+def _bounded_vectors(total: int, weights: Sequence[int], box: int) -> Iterator[Vec]:
+    """Nonnegative n with sum n_j * weights_j == total and every n_j <= box,
+    in lexicographic order, for weights >= 1: an odometer over the first
+    k-1 coordinates, the last one solved for, so no recursion."""
+    k = len(weights)
+    if k == 0:
+        if total == 0:
+            yield ()
+        return
+    last = k - 1
+    n = [0] * last
+    rest = total  # total minus the weighted sum of n
+    while True:
+        q, r = divmod(rest, weights[last])
+        if r == 0 and 0 <= q <= box:
+            yield (*n, q)
+        # advance the rightmost coordinate that can grow, zeroing those after it
+        j = last - 1
+        while j >= 0 and (n[j] == box or rest < weights[j]):
+            rest += n[j] * weights[j]
+            n[j] = 0
+            j -= 1
+        if j < 0:
+            return
+        n[j] += 1
+        rest -= weights[j]
+
+
 def weighted_vectors(total: int, weights: Sequence[int]) -> Iterator[Vec]:
-    """All nonnegative integer vectors n with sum n_j * weights_j == total.
+    """All nonnegative integer vectors n with sum n_j * weights_j == total,
+    in lexicographic order.
 
     Every weight must be >= 1, which makes the search finite.
     """
     if any(w < 1 for w in weights):
         raise ValidationError("weights must be positive")
-    k = len(weights)
-
-    def rec(j: int, rest: int, acc: list[int]) -> Iterator[Vec]:
-        if j == k - 1:
-            q, r = divmod(rest, weights[j])
-            if r == 0:
-                yield tuple(acc + [q])
-            return
-        for n in range(rest // weights[j] + 1):
-            yield from rec(j + 1, rest - n * weights[j], acc + [n])
-
-    if k == 0:
-        if total == 0:
-            yield ()
-        return
-    yield from rec(0, total, [])
+    yield from _bounded_vectors(total, weights, total)
 
 
 def order_feasible(n: Vec, table, base: CountVector) -> bool:
@@ -186,22 +200,6 @@ class DicksonBasis:
         return any(all(p[i] >= b[i] for i in range(len(p))) for b in self.minimal)
 
 
-def _layer(total: int, dim: int, box: int) -> Iterator[Vec]:
-    def rec(j: int, rest: int, acc: list[int]) -> Iterator[Vec]:
-        if j == dim - 1:
-            if rest <= box:
-                yield tuple(acc + [rest])
-            return
-        for n in range(min(rest, box) + 1):
-            yield from rec(j + 1, rest - n, acc + [n])
-
-    if dim == 0:
-        if total == 0:
-            yield ()
-        return
-    yield from rec(0, total, [])
-
-
 def dickson_minimal(
     pred: Callable[[Vec], bool],
     dim: int,
@@ -220,9 +218,10 @@ def dickson_minimal(
         return any(all(p[i] >= b[i] for i in range(dim)) for b in basis)
 
     complete = False
+    ones = (1,) * dim
     for total in range(0, dim * box + 1):
         saw_gap = False
-        for p in _layer(total, dim, box):
+        for p in _bounded_vectors(total, ones, box):
             if dominated(p):
                 continue
             if pred(p):
@@ -233,7 +232,7 @@ def dickson_minimal(
             # a true undominated point of this layer beyond the box is a
             # minimal point the box cut off
             complete = total <= box or not any(
-                pred(p) for p in _layer(total, dim, total) if max(p) > box and not dominated(p)
+                pred(p) for p in _bounded_vectors(total, ones, total) if max(p) > box and not dominated(p)
             )
             break
 

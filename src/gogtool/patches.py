@@ -310,18 +310,22 @@ class Caret:
 
 
 def caret(g: GraphOfGroups, gs: GateSystem, nu: HalfEdge) -> Caret:
-    """Grow the caret of gate type ``nu``.
-
-    The caret grows below the child ``(opp(nu), 0)`` of a root at
-    ``vertex_of(opp(nu))``, which is entered through ``nu``: that vertex
-    is expanded to full degree and every new leaf whose entry is not a
-    gate is expanded in turn; growth terminates exactly when the gate
-    system is admissible, which is checked up front.
-    """
+    """Grow the caret of gate type ``nu`` in a system rooted at
+    ``vertex_of(opp(nu))`` (see ``_caret``)."""
     if nu not in gs:
         raise ValidationError(f"{nu} is not a gate of the system")
-    system = TreeSystem(g, gs, root=g.vertex_of(nu.opposite()))
-    system.require_admissible()
+    return _caret(TreeSystem(g, gs, root=g.vertex_of(nu.opposite())), nu)
+
+
+def _caret(system: TreeSystem, nu: HalfEdge) -> Caret:
+    """The caret of gate ``nu``, grown below the step ``(opp(nu), 0)``,
+    which is entered through ``nu``: that vertex is expanded to full
+    degree and every new leaf whose entry is not a gate is expanded in
+    turn; growth terminates exactly when the gate system is admissible,
+    which is checked up front.  Growth and ``_leaves`` read only entry
+    numbers below their start address, and step numbers depend on the
+    graph alone, so the caret grows the same whatever the root is.
+    """
     step = system.steps.index((nu.opposite(), 0))
     interior = _expand_vertex(system, (step,), system.step_entry[step])
     census = Counter(e for _, e in _leaves(system, interior))
@@ -361,13 +365,13 @@ class CaretTable:
 
 
 def caret_table(g: GraphOfGroups, gs: GateSystem) -> CaretTable:
-    """Assemble M and I column-wise from the carets of all gate types."""
-    carets = tuple(caret(g, gs, nu) for nu in gs.gates)
-    k = gs.k
-    m_rows = tuple(
-        tuple(dict(carets[j].terminal_leaf_types).get(gs.gates[i], 0) for j in range(k))
-        for i in range(k)
-    )
+    """Assemble M and I column-wise from the carets of all gate types,
+    grown in one tree system (any root will do, see ``_caret``)."""
+    # no gates, no carets: the tree model is neither built nor checked
+    system = TreeSystem(g, gs, root=g.vertices[0]) if gs.gates else None
+    carets = tuple(_caret(system, nu) for nu in gs.gates)
+    columns = [dict(c.terminal_leaf_types) for c in carets]
+    m_rows = tuple(tuple(col.get(h, 0) for col in columns) for h in gs.gates)
     return CaretTable(gs.gates, m_rows, tuple(c.interior_count for c in carets), carets)
 
 

@@ -8,8 +8,8 @@ the integers and follows one rule in every dimension: rank d_1 comes
 from union-find components (a graph incidence matrix is totally
 unimodular, so all its invariant factors are 1), and each higher
 d_k is built as sparse columns, checked by d_(k-1) d_k = 0, and reduced
-by Smith normal form with a minimal-pivot strategy that guards
-coefficient blowup.
+by Smith normal form in two steps: elimination to a diagonal with
+least-magnitude pivots, then (gcd, lcm) steps that chain the diagonal.
 
 The checker's costly hypothesis, m-flag with respect to sigma, fails
 exactly when some minimal non-face B with 3 <= |B| <= m+1 meets sigma;
@@ -23,6 +23,7 @@ it; every report carries this caveat.
 from __future__ import annotations
 
 import itertools
+import math
 import random
 from dataclasses import dataclass
 from functools import cached_property
@@ -31,7 +32,7 @@ from .count_algebra import NOTE_HOMOLOGY_PROXY
 from .errors import CapExceeded, InvariantViolation, ValidationError
 
 PSEUDOFACE_SEARCH_CAP = 200_000  # (l-k)-pseudofaces tried per vertex
-HOMOLOGY_FACE_CAP = 2_000_000  # faces of dimension <= max_dim+1
+HOMOLOGY_CELL_CAP = 4_000_000  # entries of each dense d_k (k >= 2) that SNF reduces
 
 
 @dataclass(frozen=True)
@@ -261,22 +262,26 @@ def lemma_connectivity_bound(cx: SimplicialComplex, sigma, m: int, k: int) -> Co
 
 
 def smith_normal_form(rows: list[list[int]], ncols: int) -> list[int]:
-    """Diagonal invariant factors of an integer matrix (nonzero entries,
-    each dividing the next).  Pivots are chosen with minimal absolute
-    value to keep coefficients small."""
+    """Invariant factors of an integer matrix: the nonzero diagonal
+    entries of its Smith normal form, each dividing the next.
+
+    First the matrix is diagonalised: each step pivots on an entry of
+    least absolute value and clears the pivot's column and row by
+    floor-division steps; the least remainder left, if any, becomes the
+    pivot and the clearing repeats, with |pivot| strictly smaller.  Then
+    pairwise (gcd, lcm) steps, which keep the direct sum of the Z/d,
+    chain the diagonal entries d > 1.
+    """
     A = [list(r) for r in rows]
-    m = len(A)
-    n = ncols
-    diag: list[int] = []
-    t = 0
-    while t < m and t < n:
-        piv = None
-        best = None
+    m, n = len(A), ncols
+    units, chain = [], []
+    for t in range(min(m, n)):
+        piv, best = None, 0
         for i in range(t, m):
             row = A[i]
             for j in range(t, n):
                 v = row[j]
-                if v and (best is None or abs(v) < best):
+                if v and (not best or abs(v) < best):
                     piv, best = (i, j), abs(v)
                     if best == 1:
                         break
@@ -284,51 +289,34 @@ def smith_normal_form(rows: list[list[int]], ncols: int) -> list[int]:
                 break
         if piv is None:
             break
-        i0, j0 = piv
-        A[t], A[i0] = A[i0], A[t]
-        if j0 != t:
-            for r in A:
-                r[t], r[j0] = r[j0], r[t]
-        while True:
-            changed = False
-            for i in range(t + 1, m):
-                q = A[i][t] // A[t][t]
+        while piv is not None:
+            i0, j0 = piv
+            A[t], A[i0] = A[i0], A[t]
+            if j0 != t:
+                for r in A:
+                    r[t], r[j0] = r[j0], r[t]
+            rt = A[t]
+            p = rt[t]
+            for ri in A[t + 1:]:
+                q = ri[t] // p
                 if q:
-                    ri, rt = A[i], A[t]
                     for j in range(t, n):
                         ri[j] -= q * rt[j]
-                if A[i][t]:
-                    A[t], A[i] = A[i], A[t]
-                    changed = True
-                    break
-            if changed:
-                continue
+            col = [r for r in A[t:] if r[t]]  # a column step changes only these rows
             for j in range(t + 1, n):
-                q = A[t][j] // A[t][t]
+                q = rt[j] // p
                 if q:
-                    for i in range(t, m):
-                        A[i][j] -= q * A[i][t]
-                if A[t][j]:
-                    for i in range(t, m):
-                        A[i][t], A[i][j] = A[i][j], A[i][t]
-                    changed = True
-                    break
-            if changed:
-                continue
-            p = A[t][t]
-            fix = None
-            for i in range(t + 1, m):
-                if any(A[i][j] % p for j in range(t + 1, n)):
-                    fix = i
-                    break
-            if fix is None:
-                break
-            rt, rf = A[t], A[fix]
-            for j in range(t, n):
-                rt[j] += rf[j]
-        diag.append(abs(A[t][t]))
-        t += 1
-    return diag
+                    for r in col:
+                        r[j] -= q * r[t]
+            left = [(abs(A[i][t]), i, t) for i in range(t + 1, m) if A[i][t]]
+            left += [(abs(rt[j]), t, j) for j in range(t + 1, n) if rt[j]]
+            piv = min(left)[1:] if left else None
+        (units if abs(p) == 1 else chain).append(abs(p))
+    for i in range(len(chain)):
+        for j in range(i + 1, len(chain)):
+            g = math.gcd(chain[i], chain[j])
+            chain[i], chain[j] = g, chain[i] * chain[j] // g
+    return units + chain
 
 
 def boundary_matrix(cx: SimplicialComplex, d: int) -> list[dict[int, int]]:
@@ -382,21 +370,24 @@ def homology(cx: SimplicialComplex, max_dim: int | None = None) -> HomologyRepor
     graph incidence matrix, totally unimodular, so its invariant factors
     are all 1.  Each d_k with k >= 2 is built as sparse columns, checked
     against d_(k-1) by exact sparse composition, and reduced by Smith
-    normal form; on complexes of dimension >= 2 the face count is capped.
+    normal form.  Before any boundary matrix is built, each needed dense
+    d_k is checked against the cap on its entries (rows x columns).
     """
     if not cx.vertices:
         return HomologyReport((), ())
     dim = cx.dimension
     top = dim if max_dim is None else min(max_dim, dim)
     sizes = [len(cx.faces_of_size(s)) for s in range(1, top + 3)]
-    if dim >= 2 and sum(sizes) > HOMOLOGY_FACE_CAP:
-        raise CapExceeded(
-            f"homology face budget exceeded: {sum(sizes)} faces > cap {HOMOLOGY_FACE_CAP}"
-        )
+    last = min(top + 1, dim)  # d_k for k > last is zero or not needed
+    for d in range(2, last + 1):
+        if sizes[d - 1] * sizes[d] > HOMOLOGY_CELL_CAP:
+            raise CapExceeded(
+                f"homology cell budget exceeded: d_{d} is {sizes[d - 1]} x {sizes[d]} = "
+                f"{sizes[d - 1] * sizes[d]} entries > cap {HOMOLOGY_CELL_CAP}"
+            )
 
     ranks = [0, len(cx.vertices) - _components(cx)]
     diags = [[], []]
-    last = min(top + 1, dim)  # d_k for k > last is zero or not needed
     lower = boundary_matrix(cx, 1) if last >= 2 else []
     for d in range(2, last + 1):
         cols = boundary_matrix(cx, d)

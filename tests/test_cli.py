@@ -334,6 +334,15 @@ def test_cap_exceeded_exits_two(capsys):
     assert "cap exceeded" in err
 
 
+def test_homology_cell_cap_exits_two(capsys):
+    # the height-12 link builds quickly, but its d_2 is far too large for dense SNF
+    code, out, err = run(capsys, "desclink", str(DATA / "amalgam33.gog"), "--height", "12")
+    assert code == 2
+    assert out == ""
+    assert err.count("\n") == 1 and err.startswith("cap exceeded:")
+    assert "d_2 is 17325 x 5775" in err
+
+
 def test_desclink_artifacts_byte_identical(tmp_path):
     # separate processes, so nothing cached or timed carries over
     env = dict(os.environ)

@@ -100,6 +100,30 @@ def test_weighted_vectors():
         list(weighted_vectors(1, (0,)))
 
 
+def test_weighted_vectors_in_lexicographic_order():
+    for weights in ((1, 1), (2, 3), (1, 2, 3), (3, 1, 2, 1)):
+        for total in range(8):
+            expected = [
+                n
+                for n in itertools.product(range(total + 1), repeat=len(weights))
+                if sum(a * w for a, w in zip(n, weights)) == total
+            ]
+            assert list(weighted_vectors(total, weights)) == expected
+
+
+def test_dickson_walks_layers_in_lexicographic_order():
+    asked = []
+    dickson_minimal(lambda p: asked.append(p) or sum(p) >= 2, 2, 2)
+    assert asked[:6] == [(0, 0), (0, 1), (1, 0), (0, 2), (1, 1), (2, 0)]
+
+
+def test_vector_enumeration_needs_no_recursion():
+    assert list(weighted_vectors(0, (1,) * 1500)) == [(0,) * 1500]
+    basis = dickson_minimal(lambda p: True, 1500, 2)
+    assert basis.minimal == ((0,) * 1500,)
+    assert basis.complete
+
+
 def test_dickson_toy_basis():
     basis = dickson_minimal(lambda n: n[0] + n[1] >= 3, 2, 10)
     assert basis.minimal == ((0, 3), (1, 2), (2, 1), (3, 0))

@@ -82,6 +82,28 @@ def test_caret_table_oracle_on_triple(triple: System):
         assert [terms.get(h, 0) for h in triple.gs.gates] == list(triple.table.column(j))
 
 
+def test_caret_table_grows_in_one_system(monkeypatch):
+    made = []
+
+    class CountedSystem(gt.TreeSystem):
+        def __post_init__(self):
+            made.append(self.root)
+            super().__post_init__()
+
+    monkeypatch.setattr(patches, "TreeSystem", CountedSystem)
+    rng = random.Random(2408)
+    for _ in range(20):
+        g = random_gog(rng, min_degree_two=True)
+        gs = gt.default_gates(g)
+        made.clear()
+        table = gt.caret_table(g, gs)
+        assert len(made) == 1
+        for j, nu in enumerate(gs.gates):
+            terms, inter = oracle_caret_census(g, gs, nu)
+            assert inter == table.I[j]
+            assert [terms.get(h, 0) for h in gs.gates] == list(table.column(j))
+
+
 def test_base_tree_star(loop33: System):
     assert loop33.base == gt.CountVector(1, (3, 3))
     assert loop33.t0.size == 7  # root plus six leaves

@@ -68,7 +68,7 @@ def test_homology_caveat_attached():
 
 
 def test_homology_face_cap(monkeypatch):
-    monkeypatch.setattr(simplicial, "HOMOLOGY_FACE_CAP", 3)
+    monkeypatch.setattr(simplicial, "HOMOLOGY_CELL_CAP", 3)
     with pytest.raises(CapExceeded):
         homology(SPHERE)
 
@@ -101,6 +101,62 @@ def test_smith_normal_form_against_sympy():
             abs(theirs[i, i]) for i in range(min(m, n)) if theirs[i, i] != 0
         )
         assert sorted(ours) == ref
+
+
+def _is_chain(diag):
+    return all(b % a == 0 for a, b in zip(diag, diag[1:]))
+
+
+def test_smith_normal_form_matches_sympy_up_to_8x8():
+    sympy = pytest.importorskip("sympy")
+    from sympy.matrices.normalforms import invariant_factors
+
+    rng = random.Random(30)
+    cases = [_dense_boundary(RP2, 2)]
+    for _ in range(100):
+        m = rng.randint(1, 8)
+        n = rng.randint(1, 8)
+        cases.append(([[rng.randint(-30, 30) for _ in range(n)] for _ in range(m)], n))
+    for rows, n in cases:
+        ours = smith_normal_form(rows, n)
+        theirs = invariant_factors(sympy.Matrix(rows), domain=sympy.ZZ)
+        assert ours == [abs(x) for x in theirs if x], rows
+        assert _is_chain(ours)
+
+
+def test_smith_normal_form_chains_a_diagonal():
+    # a +-1 boundary matrix almost never leaves a diagonal that is no chain
+    assert smith_normal_form([[4, 0, 0], [0, 6, 0], [0, 0, 10]], 3) == [2, 2, 60]
+    assert smith_normal_form([[9, 0], [0, 6]], 2) == [3, 18]
+
+
+def test_smith_normal_form_unimodular_invariance():
+    rng = random.Random(31)
+    for _ in range(200):
+        m = rng.randint(1, 6)
+        n = rng.randint(1, 6)
+        rows = [[rng.randint(-9, 9) for _ in range(n)] for _ in range(m)]
+        expected = smith_normal_form(rows, n)
+        assert _is_chain(expected)
+        cols = rng.sample(range(n), n)
+        b = [[rows[i][j] for j in cols] for i in rng.sample(range(m), m)]
+        for i in range(m):
+            if rng.random() < 0.5:
+                b[i] = [-x for x in b[i]]
+        for j in range(n):
+            if rng.random() < 0.5:
+                for r in b:
+                    r[j] = -r[j]
+        for _ in range(3):
+            c = rng.randint(-3, 3)
+            if m > 1:
+                i, k = rng.sample(range(m), 2)
+                b[i] = [x + c * y for x, y in zip(b[i], b[k])]
+            if n > 1:
+                j, k = rng.sample(range(n), 2)
+                for r in b:
+                    r[j] += c * r[k]
+        assert smith_normal_form(b, n) == expected, (rows, b)
 
 
 def _densified(cols, nrows):
