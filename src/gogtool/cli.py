@@ -259,14 +259,12 @@ def _cmd_desclink(args) -> tuple[int, dict[str, str]]:
             body["oracle_agrees"] = True
         reports.append(body)
         csv_lines.append(rep.csv_row())
-        artifacts[f"link_h{args.height}_{i}.json"] = _dumps(link.to_json_dict())
+        # the full link JSONs are artifacts only with --out, so only then built
+        if args.out:
+            artifacts[f"link_h{args.height}_{i}.json"] = _dumps(link.to_json_dict())
     artifacts["desclink.json"] = _dumps({"height": args.height, "links": reports})
     artifacts["desclink.csv"] = "\n".join(csv_lines) + "\n"
-    # stdout gets the summary and csv; full link JSONs only land in --out
-    printed = {"desclink.json": artifacts["desclink.json"], "desclink.csv": artifacts["desclink.csv"]}
-    if args.out:
-        return 0, artifacts
-    return 0, printed
+    return 0, artifacts
 
 
 def _cmd_homology(args) -> tuple[int, dict[str, str]]:
@@ -476,8 +474,18 @@ def main(argv=None) -> int:
     except GogError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
-    _emit(args, artifacts)
-    return code
+    except MemoryError:
+        pass  # reported below, once leaving the handler has freed the failed run's frames
+    else:
+        _emit(args, artifacts)
+        return code
+    hint = (
+        "lower --max-link-vertices or --height"
+        if args.command == "desclink"
+        else "use a smaller input or lower bounds"
+    )
+    print(f"cap exceeded: out of memory; {hint}", file=sys.stderr)
+    return 2
 
 
 if __name__ == "__main__":

@@ -15,7 +15,10 @@ type-preserving relabelling of leaves is realised by an actual
 rearrangement, which is what justifies working with labelled subsets.
 So a face is fixed by its caret-type multiset mu plus a slot assignment,
 and one builder, ``_link``, turns the allowed mu into their labelled
-faces.  The two constructions differ only in where the allowed mu come
+faces.  It extends each face by the vertices of one type that hold none
+of its slots, read off per-slot vertex bitsets, so its time follows the
+faces it emits.  The link lists its own maximal faces from its sorted
+layers.  The two constructions differ only in where the allowed mu come
 from: the fast path grows them from count data alone (only claimed for
 systems with the viral expansion property), while the definition-level
 oracle reads them off an explicit tree enumeration and is compared
@@ -124,9 +127,10 @@ class LinkVertex:
 class DescendingLink:
     """The descending link of a count-class vertex.
 
-    ``higher_faces[d-1]`` holds the dimension-d faces as sorted tuples of
-    indices into ``vertices``; dimension-0 faces are the vertices
-    themselves.
+    ``higher_faces[d-1]`` holds the dimension-d faces as increasing tuples
+    of indices into ``vertices``, and each layer is sorted;
+    ``maximal_faces`` relies on that order.  Dimension-0 faces are the
+    vertices themselves.
     """
 
     x: CountVector
@@ -136,6 +140,22 @@ class DescendingLink:
     @property
     def f_vector(self) -> tuple[int, ...]:
         return (len(self.vertices),) + tuple(len(fs) for fs in self.higher_faces)
+
+    @property
+    def maximal_faces(self) -> tuple[tuple[int, ...], ...]:
+        """The faces that are no facet of a face one size larger, smallest
+        first and each size sorted, as ``SimplicialComplex.maximal_faces``
+        lists them.  The sorted layers are read in place: a vertex is
+        maximal when it lies on no edge, and a higher face when it is no
+        facet of the next layer."""
+        layers = self.higher_faces
+        on_edge = set(itertools.chain.from_iterable(layers[0])) if layers else set()
+        out = [(v,) for v in range(len(self.vertices)) if v not in on_edge]
+        for d, layer in enumerate(layers, 1):
+            upper = layers[d] if d < len(layers) else ()
+            covered = {f[:p] + f[p + 1:] for f in upper for p in range(d + 2)}
+            out += [f for f in layer if f not in covered]
+        return tuple(out)
 
     def to_complex(self) -> SimplicialComplex:
         n = len(self.vertices)
@@ -148,7 +168,7 @@ class DescendingLink:
             "height": self.x.height,
             "f_vector": list(self.f_vector),
             "vertices": [v.to_json_dict() for v in self.vertices],
-            "maximal_faces": [list(f) for f in self.to_complex().maximal_faces],
+            "maximal_faces": [list(f) for f in self.maximal_faces],
         }
 
 
@@ -157,26 +177,45 @@ def _link(x: CountVector, table: CaretTable, keep: Callable[[tuple], bool]) -> D
     multisets mu that ``keep`` allows.
 
     Each type j with ``keep(e_j)`` contributes its vertices in LinkVertex
-    order, so types occupy increasing index ranges, and each vertex gets a
-    bitmask of its leaf slots.  mu is tried when every mu - e_i was kept,
-    and kept when ``keep(mu)`` holds.  A face of mu is a face of mu - e_j,
-    j the largest type in mu, plus a type-j vertex past its last index
-    whose mask misses its mask.  The last vertex of a face of mu has type
-    j, and removing it leaves the face it grew from; so each face is built
-    exactly once, as an increasing index tuple.  The faces of one mu come
-    out increasing, so merging those of a layer sorts it.
+    order, so types occupy increasing index ranges [lo, hi).  A leaf slot
+    is a (type, position) pair, and ``users[j][s]`` is the bitset of the
+    type-j vertices holding slot s, bit v - lo for vertex v.  These
+    bitsets take O(slots x |V|) bits; no per-vertex conflict set (O(|V|^2)
+    bits) is kept.
+
+    mu is tried when every mu - e_i was kept, and kept when ``keep(mu)``
+    holds.  A face of mu is a face of mu - e_j, j the largest type in mu,
+    plus a type-j vertex past its last index that holds none of its
+    slots.  Those vertices are the range [max(lo, last + 1), hi) minus
+    the OR of ``users[j][s]`` over the face's slots, so the cost follows
+    the faces emitted rather than the vertices scanned.  The last vertex
+    of a face of mu has type j, and removing it leaves the face it grew
+    from; so each face is built exactly once, as an increasing index
+    tuple.  The parent faces come in increasing order and the set bits
+    are walked upward, so the faces of one mu come out increasing, and
+    merging those runs sorts a layer.
     """
     k = len(x.leaves)
     units = [tuple(int(t == j) for t in range(k)) for j in range(k)]
-    vertices, masks, spans = [], [], {}
+    vertices, slots, spans = [], [], {}
     for j in (j for j in range(k) if keep(units[j])):
         lo = len(vertices)
         for choice in itertools.product(
             *(itertools.combinations(range(n), table.M[i][j]) for i, n in enumerate(x.leaves))
         ):
             vertices.append(LinkVertex(j, choice))
-            masks.append(sum(1 << (s * k + i) for i in range(k) for s in choice[i]))
+            slots.append(tuple(s * k + i for i in range(k) for s in choice[i]))
         spans[j] = (lo, len(vertices))
+    # built from byte arrays: OR-ing one bit at a time into an int is
+    # quadratic in |V|
+    width = max(x.leaves, default=0) * k
+    users = {}
+    for j, (lo, hi) in spans.items():
+        bits = [bytearray((hi - lo + 7) // 8) for _ in range(width)]
+        for v in range(lo, hi):
+            for s in slots[v]:
+                bits[s][(v - lo) >> 3] |= 1 << ((v - lo) & 7)
+        users[j] = [int.from_bytes(b, "little") for b in bits]
     # faces index through one shared tuple, so equal indices are one int object
     ids = tuple(range(len(vertices)))
     layer = {units[j]: [(v,) for v in ids[lo:hi]] for j, (lo, hi) in spans.items()}
@@ -189,12 +228,22 @@ def _link(x: CountVector, table: CaretTable, keep: Callable[[tuple], bool]) -> D
             subs = [tuple(n - (t == i) for t, n in enumerate(mu)) for i in range(k) if mu[i]]
             if not (all(nu in layer for nu in subs) and keep(mu)):
                 continue
-            lo, hi = spans[max(i for i in range(k) if mu[i])]
+            j = max(i for i in range(k) if mu[i])
+            lo, hi = spans[j]
+            uj = users[j]
+            span = (1 << (hi - lo)) - 1
             faces = kept[mu] = []
             for face in layer[subs[-1]]:
-                used = sum(masks[v] for v in face)  # the masks are disjoint
+                blocked = 0
+                for v in face:
+                    for s in slots[v]:
+                        blocked |= uj[s]
                 start = max(lo, face[-1] + 1)
-                faces += [face + (v,) for v, m in zip(ids[start:hi], masks[start:hi]) if not used & m]
+                free = (span & ~blocked) >> (start - lo)
+                while free:
+                    low = free & -free
+                    faces.append(face + (ids[start + low.bit_length() - 1],))
+                    free ^= low
         if not kept:
             return DescendingLink(x, tuple(vertices), tuple(higher))
         higher.append(tuple(heapq.merge(*kept.values())))

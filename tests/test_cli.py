@@ -8,7 +8,9 @@ import sys
 import pytest
 
 import gogtool as gt
+from gogtool import cli
 from gogtool.cli import main
+from gogtool.stein_farley import DescendingLink
 
 from conftest import DATA
 
@@ -197,6 +199,37 @@ def test_desclink_out_pinned(capsys, tmp_path, argv, digests):
     assert got == digests
 
 
+@pytest.mark.parametrize(
+    "argv,digest",
+    [
+        (
+            ("loop33.gog", "--height", "14", "--m-max", "1"),
+            "c76963c00c5563d11737cdfddaadd0b245e39af242098ed20ed84a0d6a2c5b8b",
+        ),
+        (
+            ("amalgam33.gog", "--height", "9", "--m-max", "1"),
+            "a202f372d40c2dd8923a2e131347d3001abb4e58ecfd854fbef41c67efdaf633",
+        ),
+    ],
+)
+def test_desclink_without_out_builds_no_link_json(capsys, monkeypatch, tmp_path, argv, digest):
+    calls = 0
+    to_json = DescendingLink.to_json_dict
+
+    def counted(self):
+        nonlocal calls
+        calls += 1
+        return to_json(self)
+
+    monkeypatch.setattr(DescendingLink, "to_json_dict", counted)
+    code, out, _ = run(capsys, "desclink", str(DATA / argv[0]), *argv[1:])
+    assert code == 0
+    assert calls == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+    run(capsys, "--out", str(tmp_path), "desclink", str(DATA / argv[0]), *argv[1:])
+    assert calls == 1  # the counter counts
+
+
 def test_desclink_non_viral_points_to_viral(capsys):
     # the CLI builds the fast-path link first, with --oracle too
     code, _, err = run(capsys, "desclink", str(DATA / "bs23.gog"), "--height", "5", "--oracle")
@@ -332,6 +365,19 @@ def test_cap_exceeded_exits_two(capsys):
     )
     assert code == 2
     assert "cap exceeded" in err
+
+
+def test_out_of_memory_exits_two(capsys, monkeypatch):
+    def exhausted(*args, **kwargs):
+        raise MemoryError
+
+    monkeypatch.setattr(cli, "descending_link", exhausted)
+    code, out, err = run(capsys, "desclink", str(DATA / "loop33.gog"), "--height", "14")
+    assert code == 2
+    assert out == ""
+    assert err.count("\n") == 1 and err.startswith("cap exceeded: out of memory")
+    assert "--max-link-vertices" in err and "--height" in err
+    assert "Traceback" not in err
 
 
 def test_homology_cell_cap_exits_two(capsys):

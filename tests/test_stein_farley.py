@@ -25,7 +25,7 @@ from gogtool.stein_farley import (
     sf_vertices_at_height_enumerated,
 )
 
-from conftest import System
+from conftest import System, make_system, random_gog
 
 
 def xv(interior, leaves):
@@ -281,6 +281,66 @@ def test_faces_match_definition(loop33: System, amalgam33: System):
         for keep in (lambda mu: sum(mu) <= 3, below_tops, scattered.__contains__):
             nonempty += bool(check_link(M, leaves, keep, brute))
     assert nonempty >= 60
+
+
+def test_link_maximal_faces_match_complex(loop33: System, amalgam33: System, monkeypatch):
+    # every link test_faces_match_definition builds, recorded as it runs
+    built, build = [], _link
+
+    def recording(*args):
+        built.append(build(*args))
+        return built[-1]
+
+    monkeypatch.setitem(globals(), "_link", recording)
+    test_faces_match_definition(loop33, amalgam33)
+    monkeypatch.undo()
+    assert len(built) == 34 * 3
+    for sys, h in ((loop33, 10), (loop33, 14), (amalgam33, 9), (amalgam33, 12)):
+        (x,) = sf_vertices_at_height(h, sys.table, sys.base)
+        built.append(descending_link(x, sys.table, sys.base))
+    mixed = 0
+    for link in built:
+        assert link.maximal_faces == link.to_complex().maximal_faces, link.x
+        mixed += len({len(f) for f in link.maximal_faces}) > 1
+    assert mixed  # some link has maximal faces of more than one size
+    assert len(built[-3].maximal_faces) == 73500  # loop h14: every edge
+    assert Counter(map(len, built[-1].maximal_faces)) == {3: 5775}  # amalgam h12
+
+
+def lowest_nonempty_link(sys: System, max_vertices: int, heights: int):
+    """The fast-path link of the least count class, within ``heights`` of
+    the base, whose link has a vertex; None if there is none."""
+    for h in range(sys.base.height, sys.base.height + heights):
+        for x in sf_vertices_at_height(h, sys.table, sys.base):
+            link = descending_link(x, sys.table, sys.base, max_vertices=max_vertices)
+            if link.vertices:
+                return link
+    return None
+
+
+def test_fast_link_matches_oracle_on_random_systems():
+    # the first seeds, in order, whose augmented system is viral and whose
+    # lowest nonempty link fits the caps; the comparison chooses no seed
+    checked, f_vectors = [], set()
+    for seed in itertools.count():
+        sys = make_system(gt.augment(random_gog(random.Random(seed), min_degree_two=True)))
+        if not is_viral(sys.table, sys.base):
+            continue
+        try:
+            link = lowest_nonempty_link(sys, max_vertices=10_000, heights=40)
+            if link is None:
+                continue
+            oracle = oracle_descending_link(link.x, sys.g, sys.gs, sys.t0, max_trees=5_000)
+        except CapExceeded:
+            continue
+        assert link_difference(link, oracle) is None, (seed, link.x)
+        checked.append(seed)
+        f_vectors.add(link.f_vector)
+        if len(checked) == 20:
+            break
+    assert checked == [2, 4, 6, 15, 22, 31, 32, 42, 46, 55, 56, 67, 69, 95, 104, 121, 122, 137, 140, 143]
+    # every one is a single-expansion link, so only vertex sets are compared
+    assert f_vectors == {(200,), (4000,), (9240,)}
 
 
 def closed_form(mu, M, leaves) -> int:
