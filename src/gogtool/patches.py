@@ -13,14 +13,25 @@ the order, so sorted addresses keep the order of the pair form.
 
 Every vertex of a patch is either a leaf or has all its children, so a
 patch is fixed by its interior: any prefix-closed set of addresses whose
-steps are child steps of their parents.  It stores that set and its leaf
-list, which ``_grow`` and ``_combine`` derive from their operands'
-lists.  The nodes are the interior plus the children of interior vertices
-(the bare root when the interior is empty).  A vertex is interior in a
-union or intersection of two patches exactly when it is interior in one
-or in both of them, so unions, intersections, containment and
-deduplication are plain set operations on interior sets, which are
-several times smaller than node sets.
+steps are child steps of their parents.  It stores that set, its leaf
+list, its admissibility and its counts.  The nodes are the interior plus
+the children of interior vertices (the bare root when the interior is
+empty).  A vertex is interior in a union or intersection of two patches
+exactly when it is interior in one or in both of them, so unions,
+intersections, containment and deduplication are plain set operations on
+interior sets, which are several times smaller than node sets.
+
+Growth below a vertex depends only on the vertex's entry, so the tree
+system keeps one caret shape per entry, built on first use: the forced
+completion below a vertex with that entry, as addresses relative to it,
+its leaves with their entries, and the count delta it adds.  Growing a
+patch at a leaf places the shape there: tuple concatenation plus an O(k)
+count update.  ``TreePatch(system, interior)`` validates its interior
+and walks it for the leaves.  Patches grown or combined from other
+patches (``_grow``, ``_combine``) take their interior, leaves and
+admissibility from their operands and the shape table, with no walk and
+no re-validation; grown patches also take their counts from their
+parent's, and the others take a leaf census when first asked.
 
 Admissible patches additionally have every leaf entered through a gate,
 so their root is always interior.
@@ -28,10 +39,10 @@ so their root is always interior.
 
 from __future__ import annotations
 
-import itertools
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
+from operator import add
 
 from .count_algebra import CountVector, History
 from .errors import (
@@ -64,7 +75,10 @@ class TreeSystem:
     (half-edge, lift) pairs), ``children[entry]`` (the child steps of a
     vertex with that entry, each mapped to the child's entry),
     ``gate_type[entry]`` (None for a non-gate) and ``step_entry[step]``.
-    Step numbers depend on the graph alone.
+    Step numbers depend on the graph alone.  A sixth table, the caret
+    shape of each entry (``shape``), is filled one entry at a time, on
+    first use, so a shape over the node budget raises only where it is
+    grown.
     """
 
     graph: GraphOfGroups
@@ -106,6 +120,7 @@ class TreeSystem:
             children=children,
             gate_type=tuple(self.gates.type_index(e) if e in self.gates else None for e in entries),
             step_entry=tuple(entry_no[h.opposite()] for h, _ in steps),
+            _shapes={},
         )
 
     @cached_property
@@ -129,6 +144,15 @@ class TreeSystem:
         entry = self.entries[self.entry_of(addr)]
         return self.root if entry is None else self.graph.vertex_of(entry)
 
+    def shape(self, entry: int, at: Address) -> CaretShape:
+        """The caret shape of ``entry``, built on first use by
+        ``_build_shape``; ``at``, where it is being grown, names the vertex
+        in a node-budget error."""
+        shape = self._shapes.get(entry)
+        if shape is None:
+            shape = self._shapes[entry] = _build_shape(self, entry, at)
+        return shape
+
 
 def _leaves(system: TreeSystem, interior: frozenset[Address] | set[Address]) -> list[Leaf]:
     """The leaves of an interior set by definition, for patches with no parent
@@ -147,14 +171,29 @@ def _leaves(system: TreeSystem, interior: frozenset[Address] | set[Address]) -> 
     return out
 
 
+def _gated(system: TreeSystem, leaves: list[Leaf]) -> bool:
+    """Whether every leaf is entered through a gate."""
+    gate_type = system.gate_type
+    return None not in [gate_type[e] for _, e in leaves]
+
+
 @dataclass(frozen=True)
 class TreePatch:
     """A finite subtree of the ambient model, stored by its interior
-    addresses, with value semantics."""
+    addresses, with value semantics.
+
+    ``TreePatch(system, interior)`` is the public constructor and the
+    definition: it checks that the interior is prefix-closed and that each
+    step is a child step of its parent, then walks the interior for its
+    leaf list (``_leaves``) and admissibility.  Patches grown or combined
+    from other patches come from ``TreePatch._derived``, which checks and
+    walks nothing: ``_grow`` and ``_combine`` prove that what they pass is
+    what this constructor would compute.  Grown patches also carry their
+    counts; other patches take their leaf census on the first ``counts()``.
+    """
 
     system: TreeSystem
     interior: frozenset[Address]
-    _leaf_list: list[Leaf] | None = field(default=None, compare=False, repr=False)
 
     def __post_init__(self):
         system = self.system
@@ -171,8 +210,32 @@ class TreePatch:
                     f"step {addr[-1]!r} is not a child step of the vertex at {parent} "
                     f"(label {system.label_of(parent)!r})"
                 )
-        if self._leaf_list is None:
-            object.__setattr__(self, "_leaf_list", _leaves(system, interior))
+        leaves = _leaves(system, interior)
+        self._set_derived(leaves, _gated(system, leaves), None)
+
+    def _set_derived(self, leaves: list[Leaf], admissible: bool, counts: CountVector | None) -> None:
+        # the dataclass is frozen; setting the attributes one by one, in one
+        # order, keeps each instance's values in the class's shared key table
+        object.__setattr__(self, "_leaf_list", leaves)
+        object.__setattr__(self, "_admissible", admissible)
+        object.__setattr__(self, "_counts", counts)
+
+    @classmethod
+    def _derived(
+        cls,
+        system: TreeSystem,
+        interior: frozenset[Address],
+        leaves: list[Leaf],
+        admissible: bool,
+        counts: CountVector | None,
+    ) -> TreePatch:
+        """A patch whose validity, leaf list, admissibility and counts (None:
+        not taken yet) its caller has proved; nothing is checked or walked."""
+        t = object.__new__(cls)
+        object.__setattr__(t, "system", system)
+        object.__setattr__(t, "interior", interior)
+        t._set_derived(leaves, admissible, counts)
+        return t
 
     # -- structure ---------------------------------------------------------
 
@@ -198,11 +261,6 @@ class TreePatch:
         """Leaves whose entry half-edge is a gate, i.e. admissible leaves."""
         return [(a, e) for a, e in self.leaves() if e in self.system.gates]
 
-    @cached_property
-    def _admissible(self) -> bool:
-        gate_type = self.system.gate_type
-        return all(gate_type[e] is not None for _, e in self._leaf_list)
-
     def is_admissible(self) -> bool:
         return self._admissible
 
@@ -211,21 +269,25 @@ class TreePatch:
             bad = [(a, e) for a, e in self.leaves() if e not in self.system.gates]
             raise ValidationError(f"{what} is not admissible; bad leaves: {bad[:3]}")
 
-    @cached_property
-    def _counts(self) -> CountVector:
-        census = Counter(self.system.gate_type[e] for _, e in self._leaf_list)
-        return CountVector(len(self.interior), tuple(census[i] for i in range(self.system.gates.k)))
-
     def counts(self) -> CountVector:
         """Interior count and typed-leaf census.
 
         Leaves without a gate entry (possible only on non-admissible
-        patches) are not counted in L.
+        patches) are not counted in L.  Taken on first use and kept in a
+        plain attribute: ``functools.cached_property`` takes a lock on every
+        first read in CPython 3.11.
         """
-        return self._counts
+        counts = self._counts
+        if counts is None:
+            gate_type = self.system.gate_type
+            types = [gate_type[e] for _, e in self._leaf_list]
+            counts = CountVector(len(self.interior), tuple(map(types.count, range(self.system.gates.k))))
+            object.__setattr__(self, "_counts", counts)
+        return counts
 
     def contains(self, other: "TreePatch") -> bool:
-        return self.system == other.system and other.interior <= self.interior
+        system = self.system
+        return (system is other.system or system == other.system) and other.interior <= self.interior
 
     def sort_key(self):
         """Size, then sorted interior: the order of (size, sorted nodes).
@@ -246,31 +308,55 @@ class TreePatch:
 # -- growth --------------------------------------------------------------
 
 
-def _expand_vertex(system: TreeSystem, addr: Address, entry: int) -> set[Address]:
-    """Interior addresses of the minimal forced completion below ``addr``.
+@dataclass(frozen=True)
+class CaretShape:
+    """The forced completion below a vertex with a given entry, relative to
+    that vertex: its ``interior`` addresses (the vertex itself is ``()``),
+    its ``leaves`` with their entry numbers, and ``delta``, what growing it
+    at a leaf with that entry adds to the counts: the interior size, then
+    the leaf census minus the grown leaf's own type, if it has one.  For a
+    gate entry of type j, delta is (I_j, M column j - e_j)."""
 
-    Makes ``addr`` interior and recursively expands every child whose
-    entry half-edge is not a gate.  Termination is exactly admissibility
-    of the gate system, which is checked up front.
+    interior: tuple[Address, ...]
+    leaves: tuple[Leaf, ...]
+    delta: CountVector
+
+    def at(self, addr: Address) -> frozenset[Address]:
+        """The interior addresses of the shape grown at ``addr``, as a set:
+        a set operand sizes the table of a set union once, where an
+        iterable would grow it step by step to twice the size."""
+        return frozenset([addr + a for a in self.interior])
+
+
+def _build_shape(system: TreeSystem, entry: int, at: Address) -> CaretShape:
+    """Grow the caret shape of ``entry``: make the vertex interior and
+    recursively expand every child whose entry is not a gate; the other
+    children are its leaves.  Termination is exactly admissibility of the
+    gate system, which is checked up front.  The walk reads only entry
+    numbers below its start, so the shape is the same wherever it grows.
     """
     system.require_admissible()
     children, gate_type = system.children, system.gate_type
-    new: set[Address] = set()
+    interior: list[Address] = []
+    leaves: list[Leaf] = []
     grown = 0
-    stack: list[tuple[Address, int]] = [(addr, entry)]
+    stack: list[tuple[Address, int]] = [((), entry)]
     while stack:
         a, ent = stack.pop()
-        new.add(a)
+        interior.append(a)
         kids = children[ent]
         grown += len(kids)
         if grown > NODE_BUDGET:
-            raise CapExceeded(
-                f"growth below {addr} exceeded the node budget of {NODE_BUDGET}"
-            )
+            raise CapExceeded(f"growth below {at} exceeded the node budget of {NODE_BUDGET}")
         for step, child_entry in kids.items():
             if gate_type[child_entry] is None:
                 stack.append((a + (step,), child_entry))
-    return new
+            else:
+                leaves.append((a + (step,), child_entry))
+    census = Counter(gate_type[e] for _, e in leaves)
+    own = gate_type[entry]
+    delta = CountVector(len(interior), tuple(census[i] - (i == own) for i in range(system.gates.k)))
+    return CaretShape(tuple(interior), tuple(leaves), delta)
 
 
 def base_tree(g: GraphOfGroups, gs: GateSystem, seed: "TreePatch | str") -> TreePatch:
@@ -292,7 +378,7 @@ def base_tree(g: GraphOfGroups, gs: GateSystem, seed: "TreePatch | str") -> Tree
     grown = set(seed.interior)
     for a, e in seed._leaf_list:
         if system.gate_type[e] is None:
-            grown |= _expand_vertex(system, a, e)
+            grown.update(system.shape(e, a).at(a))
     return TreePatch(system, frozenset(grown))
 
 
@@ -318,21 +404,19 @@ def caret(g: GraphOfGroups, gs: GateSystem, nu: HalfEdge) -> Caret:
 
 
 def _caret(system: TreeSystem, nu: HalfEdge) -> Caret:
-    """The caret of gate ``nu``, grown below the step ``(opp(nu), 0)``,
-    which is entered through ``nu``: that vertex is expanded to full
-    degree and every new leaf whose entry is not a gate is expanded in
-    turn; growth terminates exactly when the gate system is admissible,
-    which is checked up front.  Growth and ``_leaves`` read only entry
-    numbers below their start address, and step numbers depend on the
-    graph alone, so the caret grows the same whatever the root is.
+    """The caret of gate ``nu``: the shape of entry ``nu``, the vertex
+    expanded to full degree and every new leaf whose entry is not a gate
+    expanded in turn.  A shape is the same wherever it grows and whatever
+    the root is, so it is named, in a node-budget error, at the step
+    ``(opp(nu), 0)``, which is entered through ``nu``.
     """
     step = system.steps.index((nu.opposite(), 0))
-    interior = _expand_vertex(system, (step,), system.step_entry[step])
-    census = Counter(e for _, e in _leaves(system, interior))
+    shape = system.shape(system.step_entry[step], (step,))
+    census = Counter(e for _, e in shape.leaves)
     return Caret(
         gate=nu,
         terminal_leaf_types=tuple((system.entries[e], n) for e, n in sorted(census.items())),
-        interior_count=len(interior),
+        interior_count=len(shape.interior),
     )
 
 
@@ -389,15 +473,33 @@ def expand_leaf(t: TreePatch, leaf: Address) -> TreePatch:
     entry = system.entry_of(leaf)
     if system.gate_type[entry] is None:
         raise ValidationError(f"leaf {leaf} has no gate type (entry {system.entries[entry]})")
-    caret = _expand_vertex(system, leaf, entry)
-    return _grow(t, leaf, caret, t.interior | caret)
+    shape = system.shape(entry, leaf)
+    return _grow(t, t._leaf_list.index((leaf, entry)), shape, t.interior.union(shape.at(leaf)))
 
 
-def _grow(t: TreePatch, leaf: Address, caret: set[Address], interior: frozenset[Address]) -> TreePatch:
-    """``t`` grown to ``interior`` by ``caret`` at its leaf ``leaf``.  Nothing of t
-    lies below the leaf, so the leaves are leaves(t) - {leaf} + _leaves(caret)."""
-    leaves = [x for x in t._leaf_list if x[0] != leaf] + _leaves(t.system, caret)
-    return TreePatch(t.system, interior, leaves)
+def _grow(t: TreePatch, i: int, shape: CaretShape, interior: frozenset[Address]) -> TreePatch:
+    """``t`` grown to ``interior`` by ``shape`` at its ``i``-th listed leaf,
+    which has a gate type, built by ``TreePatch._derived``.
+
+    Let C be the shape's addresses placed at the leaf l.  The shape walk
+    starts at l with l's entry and appends to each vertex only child steps
+    of that vertex's entry, whose child then has the entry the step leads
+    to; l's own parent is interior in t, since l is a leaf.  So the union
+    with the prefix-closed interior of t is prefix-closed and every step is
+    a child step of its parent.  Nothing of t lies below l, so the
+    children of C's vertices that are not in C are exactly the shape's
+    leaves placed at l, and the only child of an interior vertex of t that
+    enters C is l: the leaves are leaves(t) - {l} plus the placed leaves.
+    The interior grows by |C|, and the census loses l's type and gains the
+    shape's leaves, all of which have gate types: the counts grow by the
+    shape's delta, and the patch is admissible exactly when t is.
+    """
+    old = t._leaf_list
+    leaf = old[i][0]
+    leaves = old[:i] + old[i + 1 :] + [(leaf + a, e) for a, e in shape.leaves]
+    counts, delta = t.counts(), shape.delta
+    counts = CountVector(counts.interior + delta.interior, tuple(map(add, counts.leaves, delta.leaves)))
+    return TreePatch._derived(t.system, interior, leaves, t._admissible, counts)
 
 
 def history(t: TreePatch, t0: TreePatch) -> History:
@@ -407,7 +509,7 @@ def history(t: TreePatch, t0: TreePatch) -> History:
     are not interior in ``t0`` and whose entry half-edge is a gate, so the
     vector is independent of any recovery order.
     """
-    if t.system != t0.system:
+    if t.system is not t0.system and t.system != t0.system:
         raise ValidationError("patches come from incompatible enumerations")
     if not t0.interior <= t.interior:
         raise ValidationError("t0 is not a subtree of t")
@@ -421,12 +523,20 @@ def history(t: TreePatch, t0: TreePatch) -> History:
 
 def _combine(t1: TreePatch, t2: TreePatch, union: bool) -> TreePatch:
     """The union or intersection of admissible patches, its leaf list derived
-    from theirs.  Interiors hold the root and are prefix-closed, so a vertex
-    is a node of t exactly when it or its parent is interior in t.  A leaf of
-    I1 | I2 is a leaf of t1 not in I2 or a leaf of t2 not a node of t1; a leaf
-    of I1 & I2 is a leaf of t1 that is a node of t2 or a leaf of t2 in I1.
-    Each such vertex is a leaf of the result, and the two kinds are disjoint."""
-    if t1.system != t2.system:
+    from theirs and built by ``TreePatch._derived``.
+
+    Unions and intersections of prefix-closed sets are prefix-closed, and
+    whether an address's last step is a child step of its parent does not
+    depend on the patch, so the result needs no validation.  Interiors hold
+    the root and are prefix-closed, so a vertex is a node of t exactly when
+    it or its parent is interior in t.  A leaf of I1 | I2 is a leaf of t1
+    not in I2 or a leaf of t2 not a node of t1; a leaf of I1 & I2 is a leaf
+    of t1 that is a node of t2 or a leaf of t2 in I1.  Each such vertex is
+    a leaf of the result, and the two kinds are disjoint.  The result is
+    admissible by theorem; that is checked on the derived list on every
+    call, and its census waits for the first ``counts()``."""
+    system = t1.system
+    if system is not t2.system and system != t2.system:
         raise ValidationError("patches come from incompatible enumerations")
     t1.require_admissible("first patch")
     t2.require_admissible("second patch")
@@ -435,11 +545,13 @@ def _combine(t1: TreePatch, t2: TreePatch, union: bool) -> TreePatch:
         n1 = t1.nodes
         leaves = [x for x in t1._leaf_list if x[0] not in i2]
         leaves += [x for x in t2._leaf_list if x[0] not in n1]
+        interior = i1 | i2
     else:
         n2 = t2.nodes
         leaves = [x for x in t1._leaf_list if x[0] in n2]
         leaves += [x for x in t2._leaf_list if x[0] in i1]
-    out = TreePatch(t1.system, i1 | i2 if union else i1 & i2, leaves)
+        interior = i1 & i2
+    out = TreePatch._derived(system, interior, leaves, _gated(system, leaves), None)
     if not out.is_admissible():
         what = "union" if union else "intersection"
         raise InvariantViolation(f"{what} of admissible patches is not admissible")
@@ -475,18 +587,18 @@ def enumerate_admissible(
     if t0.system.graph != g or t0.system.gates != gs:
         raise ValidationError("t0 belongs to a different system")
     t0.require_admissible("t0")
-    system = t0.system
-    # each patch caches its leaf list, which both growth and sorting read
+    shape = t0.system.shape
+    # each patch carries its leaf list, which both growth and sorting read
     seen: dict[frozenset[Address], TreePatch] = {t0.interior: t0}
     frontier = [t0]
     for _ in range(max_expansions):
         nxt: list[TreePatch] = []
         for t in frontier:
-            for leaf, entry in t._leaf_list:
-                caret = _expand_vertex(system, leaf, entry)
-                grown = t.interior.union(caret)
+            for i, (leaf, entry) in enumerate(t._leaf_list):
+                caret = shape(entry, leaf)
+                grown = t.interior.union(caret.at(leaf))
                 if grown not in seen:
-                    seen[grown] = _grow(t, leaf, caret, grown)
+                    seen[grown] = _grow(t, i, caret, grown)
                     if len(seen) > max_trees:
                         raise CapExceeded(
                             f"enumeration exceeded the cap of {max_trees} trees"
@@ -528,24 +640,26 @@ def interval_lattice(t: TreePatch, t_prime: TreePatch) -> IntervalLattice:
     attaching disjoint carets at leaves of the bottom (e.g. a caret grown
     on another caret's leaf).
     """
-    if t.system != t_prime.system:
+    system = t.system
+    if system is not t_prime.system and system != t_prime.system:
         raise ValidationError("patches come from incompatible enumerations")
     t.require_admissible("bottom")
     t_prime.require_admissible("top")
     if not t.interior <= t_prime.interior:
         raise ValidationError("top does not contain bottom")
 
-    materials: dict[Address, set[Address]] = {}
+    carets: dict[Address, tuple[int, CaretShape, frozenset[Address]]] = {}
     covered: set[Address] = set()
     for leaf, entry in t._leaf_list:
         if leaf not in t_prime.interior:
             continue
-        mat = _expand_vertex(t.system, leaf, entry)
+        shape = system.shape(entry, leaf)
+        mat = shape.at(leaf)
         if not mat <= t_prime.interior:
             raise InvariantViolation(
                 f"expansion of leaf {leaf} is not contained in the top patch"
             )
-        materials[leaf] = mat
+        carets[leaf] = entry, shape, mat
         covered |= mat
     extra = t_prime.interior - t.interior - covered
     if extra:
@@ -553,14 +667,15 @@ def interval_lattice(t: TreePatch, t_prime: TreePatch) -> IntervalLattice:
             "top is not an elementary expansion of bottom: it contains material "
             f"beyond whole carets at bottom leaves (e.g. at {sorted(extra)[0]})"
         )
-    leaves = tuple(sorted(materials))
-    elements = []
-    for r in range(len(leaves) + 1):
-        for subset in itertools.combinations(leaves, r):
-            interior = set(t.interior)
-            for leaf in subset:
-                interior |= materials[leaf]
-            elements.append(TreePatch(t.system, frozenset(interior)))
+    leaves = tuple(sorted(carets))
+    # one element per subset of the carets: a leaf of t stays a leaf of
+    # every element that has not grown it
+    elements = [t]
+    for leaf in leaves:
+        entry, shape, mat = carets[leaf]
+        elements += [
+            _grow(e, e._leaf_list.index((leaf, entry)), shape, e.interior | mat) for e in elements
+        ]
     elements.sort(key=TreePatch.sort_key)
     return IntervalLattice(t, t_prime, leaves, tuple(elements))
 

@@ -53,7 +53,6 @@ from .patches import (
     DEFAULT_TREE_BUDGET,
     CaretTable,
     TreePatch,
-    _expand_vertex,
     caret_table,
     enumerate_admissible,
 )
@@ -295,7 +294,7 @@ def _removable_carets(t: TreePatch, t0: TreePatch) -> list[tuple]:
             continue
         depth = len(addr)
         below = {a for a in t.interior if a[:depth] == addr}
-        if below == _expand_vertex(system, addr, entry):
+        if below == system.shape(entry, addr).at(addr):
             out.append((addr, ty))
     return out
 

@@ -409,24 +409,36 @@ def test_tree_hot_paths_hash_no_half_edges(loop33: System, monkeypatch):
     assert HalfEdge("e", "iota") in loop33.gs and calls == 1  # the counter counts
 
 
-def test_growth_and_combination_walk_no_whole_interior(loop33: System, monkeypatch):
-    """Grown, united and intersected patches derive their leaf lists from
-    their parents': the definition only ever walks one caret."""
-    sizes = []
-    leaves = patches._leaves
+def test_growth_and_combination_walk_no_whole_interior(monkeypatch):
+    """Grown, united and intersected patches take their leaf lists from
+    their parents' and the shape table: each entry's shape is built once per
+    system, and the definition never walks more than one caret."""
+    sizes, builds = [], Counter()
+    leaves, build_shape = patches._leaves, patches._build_shape
 
-    def counted(system, interior):
+    def counted_leaves(system, interior):
         sizes.append(len(interior))
         return leaves(system, interior)
 
-    monkeypatch.setattr(patches, "_leaves", counted)
+    def counted_build(system, entry, at):
+        builds[id(system), entry] += 1
+        return build_shape(system, entry, at)
+
+    monkeypatch.setattr(patches, "_leaves", counted_leaves)
+    monkeypatch.setattr(patches, "_build_shape", counted_build)
+    # a system of its own, so its shapes are built under the counter
+    sys = make_system(gt.example_family("loop(3,3)"))
     rng = random.Random(99)
-    trees = gt.enumerate_admissible(loop33.g, loop33.gs, loop33.t0, 3)
+    trees = gt.enumerate_admissible(sys.g, sys.gs, sys.t0, 3)
     for _ in range(200):
         a, b = rng.sample(trees, 2)
         gt.tree_union(a, b).counts()
         gt.tree_intersection(a, b).counts()
-    assert sizes and max(sizes) <= max(loop33.table.I)
+    system = sys.t0.system
+    gates = {e for e, ty in enumerate(system.gate_type) if ty is not None}
+    assert {e for s, e in builds if s == id(system)} >= gates  # growth read the shapes
+    assert max(builds.values()) == 1
+    assert max(sizes, default=0) <= max(sys.table.I)
 
 
 def test_derived_leaf_lists_match_definition():
@@ -449,6 +461,88 @@ def test_derived_leaf_lists_match_definition():
             derived += [gt.expand_leaf(t, a) for a, _ in t.leaves()]
         for t in derived:
             assert sorted(t._leaf_list) == sorted(patches._leaves(t.system, t.interior))
+
+
+def test_derived_patches_equal_the_definition():
+    """Every grown, united and intersected patch equals the validating
+    constructor's patch on its interior, and its counts and admissibility
+    are the leaf census of the definition; enumerated patches also carry the
+    counts their history predicts."""
+    rng = random.Random(5673)
+    graphs = [gt.parse_gog(path.read_text()) for path in sorted(DATA.glob("*.gog"))]
+    graphs += [random_gog(rng, min_degree_two=True) for _ in range(20)]
+    for g in graphs:
+        sys = make_system(g)
+        trees = gt.enumerate_admissible(sys.g, sys.gs, sys.t0, 2)
+        if len(trees) <= 100:
+            trees = gt.enumerate_admissible(sys.g, sys.gs, sys.t0, 3)
+        for t in trees:
+            assert t.counts() == gt.predict_counts(gt.history(t, sys.t0), sys.table, sys.base)
+        derived = trees[1:]  # all but t0, which has no parent patch
+        for _ in range(300):
+            a, b = rng.choice(trees), rng.choice(trees)
+            derived += [gt.tree_union(a, b), gt.tree_intersection(a, b)]
+        for t in rng.sample(trees, min(3, len(trees))):
+            derived += [gt.expand_leaf(t, a) for a, _ in t.leaves()]
+        for t in derived:
+            assert gt.TreePatch(t.system, t.interior) == t
+            types = [t.system.gate_type[e] for _, e in patches._leaves(t.system, t.interior)]
+            census = tuple(types.count(i) for i in range(sys.gs.k))
+            assert t.counts() == gt.CountVector(len(t.interior), census)
+            assert t.is_admissible() == (None not in types)
+
+
+def forced_completion(system, addr, entry):
+    """The caret below ``addr`` by its definition, as the stack walk that
+    grew it before shapes existed: ``addr`` and, recursively, every child
+    whose entry is not a gate."""
+    out, stack = set(), [(addr, entry)]
+    while stack:
+        a, e = stack.pop()
+        out.add(a)
+        for step, child in system.children[e].items():
+            if system.gate_type[child] is None:
+                stack.append((a + (step,), child))
+    return out
+
+
+def test_shapes_match_the_stack_walk():
+    """Each entry's shape, placed at a real address with that entry, has the
+    walk's interior and the definition's leaves, and its delta is the count
+    change; for a gate of type j that is (I_j, M column j - e_j)."""
+    rng = random.Random(4114)
+    graphs = [gt.parse_gog(path.read_text()) for path in sorted(DATA.glob("*.gog"))]
+    graphs += [random_gog(rng, min_degree_two=True) for _ in range(20)]
+    placed = 0
+    for g in graphs:
+        gs = gt.default_gates(g)
+        system = gt.TreeSystem(g, gs, g.vertices[0])
+        table = gt.caret_table(g, gs)
+        # the first address of each entry, breadth first
+        first: dict[int, tuple] = {}
+        level = [()]
+        for _ in range(6):
+            for a in level:
+                first.setdefault(system.entry_of(a), a)
+            level = [a + (s,) for a in level[:50] for s in system.children[system.entry_of(a)]]
+        assert len(first) == len(system.entries)
+        for entry, addr in first.items():
+            shape = system.shape(entry, addr)
+            interior = forced_completion(system, addr, entry)
+            assert shape.at(addr) == interior
+            leaves = patches._leaves(system, interior)
+            assert sorted((addr + a, e) for a, e in shape.leaves) == sorted(leaves)
+            types = [system.gate_type[e] for _, e in leaves]
+            own = system.gate_type[entry]
+            census = tuple(types.count(i) - (i == own) for i in range(gs.k))
+            assert shape.delta == gt.CountVector(len(interior), census)
+            if own is not None:
+                assert shape.delta.leaves == tuple(
+                    m - (i == own) for i, m in enumerate(table.column(own))
+                )
+                assert shape.delta.interior == table.I[own]
+            placed += 1
+    assert placed > 100
 
 
 def test_patch_validation_rejects_bad_interiors(loop33: System):

@@ -343,6 +343,41 @@ def test_fast_link_matches_oracle_on_random_systems():
     assert f_vectors == {(200,), (4000,), (9240,)}
 
 
+def lowest_link_with_edge(sys: System, max_vertices: int, heights: int):
+    """The fast-path link of the least count class, within ``heights`` of
+    the base, whose link has an edge; None if there is none."""
+    for h in range(sys.base.height, sys.base.height + heights):
+        for x in sf_vertices_at_height(h, sys.table, sys.base):
+            link = descending_link(x, sys.table, sys.base, max_vertices=max_vertices)
+            if len(link.f_vector) >= 2:
+                return link
+    return None
+
+
+def test_fast_link_edges_match_oracle_on_random_systems():
+    # the first seeds, in order, whose augmented system is viral and whose
+    # lowest link with an edge fits the caps; the comparison chooses no seed
+    checked, f_vectors = [], set()
+    for seed in itertools.count():
+        sys = make_system(gt.augment(random_gog(random.Random(seed), min_degree_two=True)))
+        if not is_viral(sys.table, sys.base):
+            continue
+        try:
+            link = lowest_link_with_edge(sys, max_vertices=10_000, heights=40)
+            if link is None:
+                continue
+            oracle = oracle_descending_link(link.x, sys.g, sys.gs, sys.t0, max_trees=20_000)
+        except CapExceeded:
+            continue
+        assert link_difference(link, oracle) is None, (seed, link.x)
+        checked.append(seed)
+        f_vectors.add(link.f_vector)
+        if len(checked) == 5:
+            break
+    assert checked == [2, 32, 42, 55, 67]
+    assert f_vectors == {(1470, 73500)}  # edges are compared, not only vertices
+
+
 def closed_form(mu, M, leaves) -> int:
     """prod_i L_i! / ((L_i - u_i)! prod_j (M_ij!)^mu_j) / prod_j mu_j!,
     with u_i = sum_j mu_j M_ij."""
