@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from json.encoder import encode_basestring_ascii
 from pathlib import Path
 
 from .count_algebra import DEFAULT_DICKSON_BOX, thresholds as compute_thresholds
@@ -58,8 +59,72 @@ from .stein_farley import (
 )
 
 
+# deletes what compact rows of ints hold between their "],[" separators
+_DROP_INT_CHARS = str.maketrans("", "", ",-0123456789")
+
+
 def _dumps(obj) -> str:
-    return json.dumps(obj, indent=2, sort_keys=True) + "\n"
+    """``json.dumps(obj, indent=2, sort_keys=True) + "\\n"``, byte for byte.
+
+    With ``indent`` set the stdlib skips its C encoder and yields one
+    generator step per token, so this renders each container with one
+    ``join`` instead.  Each case equals the stdlib's output:
+
+    - A plain int is ``int.__repr__`` and a str is
+      ``encode_basestring_ascii``, the functions the stdlib calls.
+    - A non-empty dict with str keys: the stdlib writes ``{``, then each
+      of ``sorted(obj.items())`` as ``key: value`` on a line one level
+      deeper, separated by ``,``, then ``}`` on the dict's own level.
+      A non-empty list or tuple is the same with ``[`` ``]`` and no keys.
+    - A list of lists is first encoded compactly by the C encoder.  If
+      that text starts with ``[[``, holds no ``[]``, and its inner part
+      holds only digits, ``-`` and ``,`` once each ``],[`` is removed,
+      then every row is a non-empty list of ints, and two replaces put
+      each number and each row on its own line as the stdlib does.
+      Without the ``[]`` test ``[[1],[],[2]]`` would pass.
+    - Anything else (floats, bools, None, empty containers, non-str keys)
+      is the stdlib's own text with each newline indented to the
+      current level, which is exact because JSON text holds no raw
+      newline.
+
+    Recursion goes as deep as the artifact nests (at most 5 levels in
+    every artifact), not as far as it is long.
+    """
+    return _render(obj, "\n") + "\n"
+
+
+def _render(obj, nl: str) -> str:
+    # nl is a newline plus the indent of the line obj's text starts on
+    if type(obj) is int:
+        return int.__repr__(obj)
+    if isinstance(obj, str):
+        return encode_basestring_ascii(obj)
+    inner = nl + "  "
+    if isinstance(obj, dict) and obj and all(isinstance(k, str) for k in obj):
+        items = (
+            f"{encode_basestring_ascii(k)}: {_render(v, inner)}"
+            for k, v in sorted(obj.items())
+        )
+        return "{" + inner + ("," + inner).join(items) + nl + "}"
+    if isinstance(obj, (list, tuple)) and obj:
+        if all(type(v) is int for v in obj):
+            return "[" + inner + ("," + inner).join(map(int.__repr__, obj)) + nl + "]"
+        if isinstance(obj[0], (list, tuple)):
+            flat = json.dumps(obj, separators=(",", ":"))
+            rows = flat[2:-2]
+            if (
+                flat.startswith("[[")
+                and "[]" not in flat
+                and not rows.replace("],[", "").translate(_DROP_INT_CHARS)
+            ):
+                num = inner + "  "
+                rows = rows.replace(",", "," + num).replace(
+                    "]," + num + "[", inner + "]," + inner + "[" + num
+                )
+                return "[" + inner + "[" + num + rows + inner + "]" + nl + "]"
+        items = (_render(v, inner) for v in obj)
+        return "[" + inner + ("," + inner).join(items) + nl + "]"
+    return json.dumps(obj, indent=2, sort_keys=True).replace("\n", nl)
 
 
 def _read(path: str) -> str:
@@ -103,17 +168,22 @@ def _load_system(args) -> tuple[GogDocument, GateSystem, TreePatch]:
 
 
 def _emit(args, artifacts: dict[str, str]) -> None:
+    """Write the artifacts into --out, if given, then to stdout."""
+    out = getattr(args, "out", None)
+    if out:
+        outdir = Path(out)
+        try:
+            outdir.mkdir(parents=True, exist_ok=True)
+            for name, text in artifacts.items():
+                (outdir / name).write_text(text)
+        except OSError as exc:
+            path = exc.filename or out
+            raise ValidationError(f"cannot write {path}: {exc.strerror or exc}") from exc
     multiple = len(artifacts) > 1
     for name, text in artifacts.items():
         if multiple:
             sys.stdout.write(f"# artifact: {name}\n")
         sys.stdout.write(text)
-    out = getattr(args, "out", None)
-    if out:
-        outdir = Path(out)
-        outdir.mkdir(parents=True, exist_ok=True)
-        for name, text in artifacts.items():
-            (outdir / name).write_text(text)
 
 
 # -- subcommand handlers ---------------------------------------------------
@@ -462,6 +532,7 @@ def main(argv=None) -> int:
                 flag = "--" + name.replace("_", "-")
                 raise ValidationError(f"{flag} must be at least {least}, got {value}")
         code, artifacts = args.func(args)
+        _emit(args, artifacts)
     except (GogSyntaxError, ValidationError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
@@ -477,7 +548,6 @@ def main(argv=None) -> int:
     except MemoryError:
         pass  # reported below, once leaving the handler has freed the failed run's frames
     else:
-        _emit(args, artifacts)
         return code
     hint = (
         "lower --max-link-vertices or --height"

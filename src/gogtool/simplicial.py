@@ -348,7 +348,10 @@ class HomologyReport:
 
 
 def _components(cx: SimplicialComplex) -> int:
+    """The number of connected components, by union-find over the edges;
+    each merge removes one component, so the scan stops at one."""
     parent = {v: v for v in cx.vertices}
+    count = len(parent)
 
     def find(x):
         while parent[x] != x:
@@ -357,10 +360,13 @@ def _components(cx: SimplicialComplex) -> int:
         return x
 
     for a, b in cx.faces_of_size(2):
+        if count == 1:
+            break
         ra, rb = find(a), find(b)
         if ra != rb:
             parent[ra] = rb
-    return len({find(v) for v in cx.vertices})
+            count -= 1
+    return count
 
 
 def homology(cx: SimplicialComplex, max_dim: int | None = None) -> HomologyReport:

@@ -6,6 +6,7 @@ import subprocess
 import sys
 
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 import gogtool as gt
 from gogtool import cli
@@ -115,6 +116,18 @@ def test_enumerate_output_pinned(capsys):
     assert code == 0
     assert hashlib.sha256(out.encode()).hexdigest() == (
         "aba294337bee1adcf403c53fd15dd9304d8c1548ea245cf23e53b755a3153393"
+    )
+
+
+def test_enumerate_bs23_aug_depth3_pinned(capsys, tmp_path):
+    # the largest enumerate artifact a bench job writes (8,031 rows)
+    code, _, _ = run(
+        capsys, "--out", str(tmp_path), "enumerate", str(DATA / "bs23_aug.gog"),
+        "--max-expansions", "3",
+    )
+    assert code == 0
+    assert hashlib.sha256((tmp_path / "enumerate.json").read_bytes()).hexdigest() == (
+        "109638f13b7bc932d159f2acb9608af544b7cdcbd80185b807765f4336dd142f"
     )
 
 
@@ -337,6 +350,91 @@ def test_artifacts_written_to_out(capsys, tmp_path):
     assert code == 0
     disk = (tmp_path / "carets.json").read_text()
     assert disk == out
+
+
+def test_unwritable_out_exits_one(capsys, tmp_path):
+    blocker = tmp_path / "file"
+    blocker.write_text("")
+    (tmp_path / "dir" / "validate.json").mkdir(parents=True)
+    cases = {
+        blocker: blocker,  # --out names a file
+        blocker / "sub": blocker / "sub",  # --out lies under a file
+        tmp_path / "dir": tmp_path / "dir" / "validate.json",  # the artifact is a directory
+    }
+    for out, failed in cases.items():
+        code, stdout, err = run(capsys, "--out", str(out), "validate", str(DATA / "loop33.gog"))
+        assert code == 1
+        assert stdout == ""
+        assert err.startswith(f"error: cannot write {failed}: ") and err.count("\n") == 1, err
+
+
+def _stdlib_dumps(obj) -> str:
+    return json.dumps(obj, indent=2, sort_keys=True) + "\n"
+
+
+@pytest.mark.parametrize(
+    "obj",
+    [
+        [[1], [2, [3]]],
+        [[1], [], [2]],
+        [[]],
+        [[True]],
+        [[1.0]],
+        [["a"]],
+        [[[1]]],
+        [[-1, 10**40]],
+        {"a": [[1, 2], [3]], "b": [["],["]], "c": {"d": [[0]]}},
+        [(1, 2), (3,)],
+        {1: [2], 2: {"x": None}},
+        [[], {}, "", 0, -0.0, False],
+    ],
+    ids=repr,
+)
+def test_dumps_matches_stdlib_on_edge_cases(obj):
+    assert cli._dumps(obj) == _stdlib_dumps(obj)
+
+
+# a fixed alphabet: escapes, JSON punctuation, non-ASCII and astral characters
+_STRINGS = st.one_of(
+    st.text(st.sampled_from('az09-,[]"\\\n\t\x00\x7f\xe9\u2028\u20ac\U0001f600'), max_size=8),
+    st.sampled_from(["],[", ",", "\n", "[[1]]", "[]", "-1"]),
+)
+_SCALARS = st.one_of(
+    st.integers(),
+    st.integers(min_value=-(10**40), max_value=10**40),
+    st.booleans(),
+    st.none(),
+    st.floats(),
+    _STRINGS,
+)
+_INT_ROWS = st.lists(st.lists(st.integers(min_value=-(10**20), max_value=10**20), max_size=4))
+
+
+def _containers(children):
+    return st.one_of(
+        st.lists(children, max_size=4),
+        st.lists(children, max_size=4).map(tuple),
+        st.dictionaries(_STRINGS, children, max_size=4),
+        st.dictionaries(st.integers(), children, max_size=3),
+        st.dictionaries(st.floats(allow_nan=False), children, max_size=3),
+        st.dictionaries(st.booleans(), children, max_size=2),
+        st.dictionaries(st.none(), children, max_size=1),
+        _INT_ROWS,
+        st.lists(st.lists(st.one_of(st.integers(), st.booleans()), max_size=3), max_size=3),
+        st.lists(st.lists(children, max_size=3), max_size=3),
+    )
+
+
+@settings(
+    derandomize=True,
+    database=None,
+    deadline=None,
+    max_examples=200,
+    suppress_health_check=[HealthCheck.too_slow, HealthCheck.data_too_large],
+)
+@given(st.recursive(_SCALARS, _containers, max_leaves=30))
+def test_dumps_matches_stdlib(obj):
+    assert cli._dumps(obj) == _stdlib_dumps(obj)
 
 
 def test_determinism_across_runs(capsys):
