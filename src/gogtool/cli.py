@@ -148,12 +148,12 @@ def _load_complex(path: str) -> SimplicialComplex:
 
 def _resolve_gates(doc: GogDocument, args) -> GateSystem:
     g = doc.graph
-    if getattr(args, "gates", None):
+    if getattr(args, "gates", None) is not None:
         hs = tuple(parse_halfedge(t) for t in args.gates.split(","))
         return GateSystem(g, hs)
     if getattr(args, "default_gates", False) or not doc.gates:
         order = doc.order
-        if getattr(args, "order", None):
+        if getattr(args, "order", None) is not None:
             order = tuple(args.order.split(","))
         return default_gates(g, order)
     return GateSystem(g, doc.gates)
@@ -164,7 +164,8 @@ def _load_system(args) -> tuple[GogDocument, GateSystem, TreePatch]:
     the first vertex)."""
     doc = _load_doc(args.file)
     gs = _resolve_gates(doc, args)
-    return doc, gs, base_tree(doc.graph, gs, args.root or doc.graph.vertices[0])
+    root = doc.graph.vertices[0] if args.root is None else args.root
+    return doc, gs, base_tree(doc.graph, gs, root)
 
 
 def _emit(args, artifacts: dict[str, str]) -> None:
@@ -315,9 +316,12 @@ def _cmd_desclink(args) -> tuple[int, dict[str, str]]:
     csv_lines = [CSV_HEADER]
     for i, x in enumerate(verts):
         link = descending_link(x, table, base, max_vertices=args.max_link_vertices)
-        rep = link_connectivity_report(
-            link, table, base, m_max=args.m_max, dickson_box=args.dickson_box
-        )
+        if i == 0:  # once per run, after the first link: a capped run does no Dickson search
+            ths = [
+                compute_thresholds(m, table, base, box=args.dickson_box)
+                for m in range(args.m_max + 1)
+            ]
+        rep = link_connectivity_report(link, ths)
         body = rep.to_json_dict()
         if args.oracle:
             oracle = oracle_descending_link(x, doc.graph, gs, t0, max_trees=args.max_trees)

@@ -35,6 +35,21 @@ PSEUDOFACE_SEARCH_CAP = 200_000  # (l-k)-pseudofaces tried per vertex
 HOMOLOGY_CELL_CAP = 4_000_000  # entries of each dense d_k (k >= 2) that SNF reduces
 
 
+def maximal_faces(vertices, higher) -> tuple[tuple, ...]:
+    """The faces that are no facet of a face one size larger, smallest
+    first, read in place from ``vertices`` (labels) and the sorted layers
+    ``higher[s-2]`` of faces with s >= 2 vertices, which may be empty.  A
+    vertex is maximal when it lies on no edge, and a higher face when it
+    is no facet of the next layer."""
+    on_edge = set(itertools.chain.from_iterable(higher[0])) if higher else set()
+    out = [(v,) for v in vertices if v not in on_edge]
+    for size, layer in enumerate(higher, 2):
+        upper = higher[size - 1] if size - 1 < len(higher) else ()
+        covered = {f[:p] + f[p + 1:] for f in upper for p in range(size + 1)}
+        out += [f for f in layer if f not in covered]
+    return tuple(out)
+
+
 @dataclass(frozen=True)
 class SimplicialComplex:
     """Downward-closed face family: ``faces[s-1]`` holds the faces with s
@@ -69,12 +84,7 @@ class SimplicialComplex:
     @cached_property
     def maximal_faces(self) -> tuple[tuple, ...]:
         """Faces that are no facet of a face one size larger."""
-        out = []
-        for size, level in enumerate(self.faces, 1):
-            upper = self.faces[size] if size < len(self.faces) else ()
-            covered = {f[:p] + f[p + 1:] for f in upper for p in range(size + 1)}
-            out += sorted(level - covered)
-        return tuple(out)
+        return maximal_faces(self.vertices, [sorted(level) for level in self.faces[1:]])
 
     def is_face(self, s) -> bool:
         f = tuple(sorted(set(s)))

@@ -17,13 +17,15 @@ So a face is fixed by its caret-type multiset mu plus a slot assignment,
 and one builder, ``_link``, turns the allowed mu into their labelled
 faces.  It extends each face by the vertices of one type that hold none
 of its slots, read off per-slot vertex bitsets, so its time follows the
-faces it emits.  The link lists its own maximal faces from its sorted
-layers.  The two constructions differ only in where the allowed mu come
-from: the fast path grows them from count data alone (only claimed for
-systems with the viral expansion property), while the definition-level
-oracle reads them off an explicit tree enumeration and is compared
-against the fast path at desk scale.  The connectivity report reads
-only the link it is given, the planted ground face included.
+faces it emits.  Its sorted layers are read in place: the maximal faces
+come from the one rule in ``simplicial.maximal_faces``, and the JSON
+form copies no face.  The two constructions differ only in where the
+allowed mu come from: the fast path grows them from count data alone
+(only claimed for systems with the viral expansion property), while the
+definition-level oracle reads them off an explicit tree enumeration and
+is compared against the fast path at desk scale.  The connectivity
+report reads only the link and the threshold constants it is given, the
+planted ground face included; the constants are computed once per run.
 """
 
 from __future__ import annotations
@@ -31,19 +33,18 @@ from __future__ import annotations
 import heapq
 import itertools
 import math
-from collections.abc import Callable
+from collections.abc import Callable, Sequence
 from dataclasses import dataclass
 
 from .count_algebra import (
-    DEFAULT_DICKSON_BOX,
     NOTE_BEYOND_CAPS,
     NOTE_HOMOLOGY_PROXY,
     CountVector,
     History,
+    Thresholds,
     elementary_expansion_ok,
     expansion_matrix,
     predict_counts,
-    thresholds as compute_thresholds,
     weighted_vectors,
 )
 from .errors import CapExceeded, ValidationError
@@ -56,7 +57,7 @@ from .patches import (
     caret_table,
     enumerate_admissible,
 )
-from .simplicial import SimplicialComplex, homology, lemma_connectivity_bound
+from .simplicial import SimplicialComplex, homology, lemma_connectivity_bound, maximal_faces
 
 DEFAULT_LINK_VERTEX_CAP = 100_000
 # links with more vertices skip the connectivity-lemma check
@@ -119,7 +120,7 @@ class LinkVertex:
     slots: tuple[tuple[int, ...], ...]
 
     def to_json_dict(self) -> dict:
-        return {"type": self.caret_type + 1, "slots": [list(s) for s in self.slots]}
+        return {"type": self.caret_type + 1, "slots": self.slots}
 
 
 @dataclass(frozen=True)
@@ -127,9 +128,9 @@ class DescendingLink:
     """The descending link of a count-class vertex.
 
     ``higher_faces[d-1]`` holds the dimension-d faces as increasing tuples
-    of indices into ``vertices``, and each layer is sorted;
-    ``maximal_faces`` relies on that order.  Dimension-0 faces are the
-    vertices themselves.
+    of indices into ``vertices``, and each layer is sorted.  Dimension-0
+    faces are the vertices themselves.  The maximal faces and the JSON
+    form read these layers in place: nothing is copied per face.
     """
 
     x: CountVector
@@ -142,19 +143,9 @@ class DescendingLink:
 
     @property
     def maximal_faces(self) -> tuple[tuple[int, ...], ...]:
-        """The faces that are no facet of a face one size larger, smallest
-        first and each size sorted, as ``SimplicialComplex.maximal_faces``
-        lists them.  The sorted layers are read in place: a vertex is
-        maximal when it lies on no edge, and a higher face when it is no
-        facet of the next layer."""
-        layers = self.higher_faces
-        on_edge = set(itertools.chain.from_iterable(layers[0])) if layers else set()
-        out = [(v,) for v in range(len(self.vertices)) if v not in on_edge]
-        for d, layer in enumerate(layers, 1):
-            upper = layers[d] if d < len(layers) else ()
-            covered = {f[:p] + f[p + 1:] for f in upper for p in range(d + 2)}
-            out += [f for f in layer if f not in covered]
-        return tuple(out)
+        """The faces that are no facet of a face one size larger, in the
+        order ``SimplicialComplex.maximal_faces`` lists them."""
+        return maximal_faces(range(len(self.vertices)), self.higher_faces)
 
     def to_complex(self) -> SimplicialComplex:
         n = len(self.vertices)
@@ -167,7 +158,7 @@ class DescendingLink:
             "height": self.x.height,
             "f_vector": list(self.f_vector),
             "vertices": [v.to_json_dict() for v in self.vertices],
-            "maximal_faces": [list(f) for f in self.maximal_faces],
+            "maximal_faces": self.maximal_faces,
         }
 
 
@@ -386,24 +377,20 @@ class LinkReport:
 CSV_HEADER = "height,vertices,edges,f_vector,betti,threshold_status"
 
 
-def link_connectivity_report(
-    link: DescendingLink,
-    table: CaretTable,
-    base: CountVector,
-    m_max: int = 0,
-    dickson_box: int = DEFAULT_DICKSON_BOX,
-) -> LinkReport:
+def link_connectivity_report(link: DescendingLink, thresholds: Sequence[Thresholds]) -> LinkReport:
     """Homology of the descending link juxtaposed with the threshold
     constants, so below/above-threshold status is explicit.
 
-    When the link contains a face made of C(m)/2 same-type carets, the
-    connectivity-lemma checker is run with that face as the ground
-    pseudosimplex (ground parameter k = beta).
+    ``thresholds`` holds the constants for m = 0..m_max, computed once by
+    the caller for all the links of a run; homology goes up to
+    dimension max(m_max, 1).  When the link contains a face made of
+    C(m)/2 same-type carets, the connectivity-lemma checker is run with
+    that face as the ground pseudosimplex (ground parameter k = beta).
     """
     x = link.x
     cx = link.to_complex()
     if link.vertices:
-        betti_report = homology(cx, max_dim=max(m_max, 1))
+        betti_report = homology(cx, max_dim=max(len(thresholds) - 1, 1))
         betti = betti_report.betti
         betti_note = "integer homology of the constructed link"
     else:
@@ -411,30 +398,29 @@ def link_connectivity_report(
         betti_note = "empty link: (-1)-connected only"
 
     per_m = []
-    for m in range(m_max + 1):
-        th = compute_thresholds(m, table, base, box=dickson_box)
+    for th in thresholds:
         side = "below" if x.height < th.r else "at or above"
-        status = f"m={m}: height {x.height} {side} threshold r({m})={th.r}"
+        status = f"m={th.m}: height {x.height} {side} threshold r({th.m})={th.r}"
         want = th.C // 2
         if not link.vertices:
             sigma_result = "no vertices, no ground pseudosimplex"
         elif len(link.vertices) > LEMMA_CHECK_CAP:
             sigma_result = f"lemma check skipped (link exceeds cap {LEMMA_CHECK_CAP})"
         else:
-            sigma = _planted_same_type_face(link, cx, want)
+            sigma = _planted_same_type_face(link, want)
             if sigma is None:
                 sigma_result = (
                     f"no face of {want} same-type carets exists at this height"
                 )
             else:
-                cb = lemma_connectivity_bound(cx, sigma, m + 1, th.beta)
+                cb = lemma_connectivity_bound(cx, sigma, th.m + 1, th.beta)
                 if cb.bound is not None:
                     sigma_result = f"lemma checker bound {cb.bound} from planted ground"
                 else:
                     sigma_result = f"lemma hypotheses did not verify: {cb.failed}"
         per_m.append(
             {
-                "m": m,
+                "m": th.m,
                 "beta": th.beta,
                 "C": th.C,
                 "alpha": th.alpha_value,
@@ -454,15 +440,12 @@ def link_connectivity_report(
     )
 
 
-def _planted_same_type_face(
-    link: DescendingLink, cx: SimplicialComplex, size: int
-) -> tuple[int, ...] | None:
-    """The least face of ``size`` type-1 carets in ``cx``, the link's
-    complex, or None.  Types occupy increasing index ranges, type 1 first,
-    so a face whose last vertex has type 1 is all type 1.  A link holds
-    every labelled face of a caret-type multiset or none, so the least
-    one stands for them all, whatever order ``cx`` keeps its faces in."""
-    return min(
-        (f for f in cx.faces_of_size(size) if link.vertices[f[-1]].caret_type == 0),
-        default=None,
-    )
+def _planted_same_type_face(link: DescendingLink, size: int) -> tuple[int, ...] | None:
+    """The least face of ``size`` type-1 carets in the link, or None.
+    Types occupy increasing index ranges, type 1 first, so a face whose
+    last vertex has type 1 is all type 1, and the first such face of the
+    sorted layer is the least.  A link holds every labelled face of a
+    caret-type multiset or none, so the least one stands for them all."""
+    layers = ([(v,) for v in range(len(link.vertices))], *link.higher_faces)
+    layer = layers[size - 1] if 0 < size <= len(layers) else ()
+    return next((f for f in layer if link.vertices[f[-1]].caret_type == 0), None)

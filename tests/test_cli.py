@@ -212,6 +212,16 @@ def test_desclink_out_pinned(capsys, tmp_path, argv, digests):
     assert got == digests
 
 
+def test_amalgam_h12_link_artifact_pinned(amalgam33):
+    # the one bundled link whose maximal faces are triangles; `desclink`
+    # stops at the homology cap there, so the artifact is rendered directly
+    (x,) = gt.sf_vertices_at_height(12, amalgam33.table, amalgam33.base)
+    link = gt.descending_link(x, amalgam33.table, amalgam33.base)
+    assert hashlib.sha256(cli._dumps(link.to_json_dict()).encode()).hexdigest() == (
+        "d5099f9610ae0afd93ea7dab8c3e998d527915455ca765a8bd462e4893ee9417"
+    )
+
+
 @pytest.mark.parametrize(
     "argv,digest",
     [
@@ -535,6 +545,9 @@ BAD_INPUTS = {
     "negative vertices": [
         "random-complex", "--seed", "1", "--vertices", "-3", "--density", "0.5",
     ],
+    "empty gates": ["carets", LOOP, "--gates="],
+    "empty order": ["carets", LOOP, "--default-gates", "--order="],
+    "empty root": ["viral", str(DATA / "amalgam33.gog"), "--root="],
 }
 
 

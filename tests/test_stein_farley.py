@@ -144,7 +144,7 @@ def test_link_to_complex_and_json(loop33: System):
 
 def test_link_report_below_threshold(loop33: System):
     link = descending_link(xv(2, (5, 5)), loop33.table, loop33.base)
-    rep = link_connectivity_report(link, loop33.table, loop33.base, m_max=0)
+    rep = link_connectivity_report(link, [gt.thresholds(0, loop33.table, loop33.base)])
     assert rep.betti is not None and rep.betti[0] == 200
     assert rep.per_m[0]["r"] == 36
     assert "below" in rep.per_m[0]["status"]
@@ -157,14 +157,14 @@ def test_link_report_below_threshold(loop33: System):
 
 def test_link_report_empty_link(loop33: System):
     link = descending_link(xv(1, (3, 3)), loop33.table, loop33.base)
-    rep = link_connectivity_report(link, loop33.table, loop33.base, m_max=0)
+    rep = link_connectivity_report(link, [gt.thresholds(0, loop33.table, loop33.base)])
     assert rep.betti is None
     assert "(-1)-connected" in rep.betti_note
 
 
 def test_link_report_json_schema(loop33: System):
     link = descending_link(xv(2, (5, 5)), loop33.table, loop33.base)
-    rep = link_connectivity_report(link, loop33.table, loop33.base, m_max=0)
+    rep = link_connectivity_report(link, [gt.thresholds(0, loop33.table, loop33.base)])
     data = rep.to_json_dict()
     assert set(data) >= {"x", "height", "f_vector", "betti", "thresholds", "caveats"}
     assert data["thresholds"][0]["beta"] == 5
@@ -283,6 +283,20 @@ def test_faces_match_definition(loop33: System, amalgam33: System):
     assert nonempty >= 60
 
 
+def maximal_by_definition(link: DescendingLink) -> tuple[tuple[int, ...], ...]:
+    """The faces that no vertex extends to a face one size larger,
+    smallest first and each size sorted."""
+    n = len(link.vertices)
+    layers = [[(v,) for v in range(n)], *link.higher_faces]
+    above = [set(map(frozenset, layer)) for layer in layers[1:]] + [set()]
+    return tuple(
+        f
+        for size, layer in enumerate(layers)
+        for f in sorted(layer)
+        if not any(frozenset(f) | {v} in above[size] for v in range(n) if v not in f)
+    )
+
+
 def test_link_maximal_faces_match_complex(loop33: System, amalgam33: System, monkeypatch):
     # every link test_faces_match_definition builds, recorded as it runs
     built, build = [], _link
@@ -298,11 +312,15 @@ def test_link_maximal_faces_match_complex(loop33: System, amalgam33: System, mon
     for sys, h in ((loop33, 10), (loop33, 14), (amalgam33, 9), (amalgam33, 12)):
         (x,) = sf_vertices_at_height(h, sys.table, sys.base)
         built.append(descending_link(x, sys.table, sys.base))
-    mixed = 0
+    mixed = brute = 0
     for link in built:
         assert link.maximal_faces == link.to_complex().maximal_faces, link.x
         mixed += len({len(f) for f in link.maximal_faces}) > 1
+        if sum(link.f_vector) <= 5000:
+            assert link.maximal_faces == maximal_by_definition(link), link.x
+            brute += 1
     assert mixed  # some link has maximal faces of more than one size
+    assert brute == len(built) - 2  # all but loop h14 and amalgam h12
     assert len(built[-3].maximal_faces) == 73500  # loop h14: every edge
     assert Counter(map(len, built[-1].maximal_faces)) == {3: 5775}  # amalgam h12
 
@@ -430,7 +448,7 @@ def test_planted_face_read_from_link(loop33: System, amalgam33: System, bs23_aug
                 elementary_expansion_ok(x, (i,) + (0,) * (k - 1), sys.table, sys.base)
                 for i in range(1, size + 1)
             )
-            sigma = _planted_same_type_face(link, cx, size)
+            sigma = _planted_same_type_face(link, size)
             if expected:
                 assert len(sigma) == size and cx.is_face(sigma), (h, size)
                 assert all(link.vertices[i].caret_type == 0 for i in sigma)
@@ -439,7 +457,7 @@ def test_planted_face_read_from_link(loop33: System, amalgam33: System, bs23_aug
                     # the face is read from the link: a link built only
                     # below dimension size-1 does not hold it
                     low = DescendingLink(x, link.vertices, link.higher_faces[: size - 2])
-                    assert _planted_same_type_face(low, low.to_complex(), size) is None
+                    assert _planted_same_type_face(low, size) is None
             else:
                 assert sigma is None, (h, size)
                 missing += 1
