@@ -4,12 +4,13 @@ pseudosimplex connectivity checker.
 A complex stores every face once, as a sorted vertex tuple, grouped by
 size; membership is a lookup and the maximal faces are derived.  Vertex
 labels only need to be hashable and sortable.  Homology is exact over
-the integers and follows one rule in every dimension: rank d_1 comes
-from union-find components (a graph incidence matrix is totally
-unimodular, so all its invariant factors are 1), and each higher
-d_k is built as sparse columns, checked by d_(k-1) d_k = 0, and reduced
-by Smith normal form in two steps: elimination to a diagonal with
-least-magnitude pivots, then (gcd, lcm) steps that chain the diagonal.
+the integers.  rank d_1 comes from union-find components (a graph
+incidence matrix is totally unimodular, so all its invariant factors are
+1).  Each higher d_k is built as sparse columns and checked by
+d_(k-1) d_k = 0.  The d_k are reduced from the top down: the +-1 entries
+are taken as pivots first, shortest row first; the faces that were such
+pivot rows of d_(k+1) clear their columns from d_k; and the dense Smith
+normal form runs only on the block left without unit entries.
 
 The checker's costly hypothesis, m-flag with respect to sigma, fails
 exactly when some minimal non-face B with 3 <= |B| <= m+1 meets sigma;
@@ -22,9 +23,11 @@ it; every report carries this caveat.
 
 from __future__ import annotations
 
+import heapq
 import itertools
 import math
 import random
+from collections import defaultdict
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -32,7 +35,9 @@ from .count_algebra import NOTE_HOMOLOGY_PROXY
 from .errors import CapExceeded, InvariantViolation, ValidationError
 
 PSEUDOFACE_SEARCH_CAP = 200_000  # (l-k)-pseudofaces tried per vertex
-HOMOLOGY_CELL_CAP = 4_000_000  # entries of each dense d_k (k >= 2) that SNF reduces
+# cells homology holds: the nonzeros of each sparse d_k it builds, and the
+# rows x columns of each dense block left after the unit pivots
+HOMOLOGY_CELL_CAP = 4_000_000
 
 
 def maximal_faces(vertices, higher) -> tuple[tuple, ...]:
@@ -379,15 +384,120 @@ def _components(cx: SimplicialComplex) -> int:
     return count
 
 
+def sparse_invariant_factors(cols, skip=frozenset(), name="the matrix"):
+    """Invariant factors of the integer matrix whose columns are the
+    sparse ``cols`` (row -> nonzero entry), leaving out the columns
+    numbered in ``skip``, and the set of rows taken as unit pivots.  The
+    columns are reduced in place.
+
+    While some entry is +-1, one is taken as pivot: from a shortest row,
+    in a shortest column.  Say it is u at (r, j).  Subtracting a*u times
+    column j from each other column with entry a in row r is a unimodular
+    column operation that zeroes row r outside column j.  Then subtracting
+    multiples of row r clears column j outside row r; this unimodular row
+    operation changes no other column, all zero in row r.  The matrix is
+    now (u) + S, with S the Schur complement on the other rows and
+    columns, so its invariant factors are 1 and those of S; the step
+    drops row r and column j.  The block left holds no unit entry; its
+    zero rows and columns add no factor, and the rest is densified and
+    passed to ``smith_normal_form``, within ``HOMOLOGY_CELL_CAP`` cells.
+    """
+    live = list(cols)  # a pivot column becomes None
+    for j in skip:
+        live[j] = None
+    where = defaultdict(set)  # row -> the live columns with an entry there
+    for j, col in enumerate(live):
+        if col is not None:
+            for i in col:
+                where[i].add(j)
+    free = [i for i, js in where.items() if len(js) == 1]  # shortest rows, stacked
+    heap = [(len(js), i) for i, js in where.items() if len(js) > 1]
+    heapq.heapify(heap)
+    pivots = set()
+    while free or heap:
+        if free:
+            r = free.pop()
+            js = where.get(r)
+            if js is None or len(js) != 1:
+                continue  # stale: the row changed after it was queued
+            (j,) = js
+            if live[j][r] not in (1, -1):
+                continue  # queued again if fill-in changes it
+        else:
+            n, r = heapq.heappop(heap)
+            js = where.get(r)
+            if js is None or len(js) != n:
+                continue
+            units = [(len(live[k]), k) for k in js if live[k][r] in (1, -1)]
+            if not units:
+                continue
+            j = min(units)[1]
+        pcol, live[j] = live[j], None
+        u = pcol.pop(r)
+        del where[r]
+        for k in js:
+            if k != j:
+                col = live[k]
+                a = col.pop(r) * u
+                for i, v in pcol.items():
+                    w = col.get(i, 0) - a * v
+                    if w:
+                        col[i] = w
+                        where[i].add(k)
+                    else:
+                        del col[i]
+                        where[i].discard(k)
+        for i in pcol:
+            rest = where[i]
+            rest.discard(j)
+            if len(rest) == 1:
+                free.append(i)
+            elif rest:
+                heapq.heappush(heap, (len(rest), i))
+        pivots.add(r)
+
+    factors = [1] * len(pivots)
+    left = [col for col in live if col]
+    if left:
+        index = {i: t for t, i in enumerate(sorted({i for col in left for i in col}))}
+        if len(index) * len(left) > HOMOLOGY_CELL_CAP:
+            raise CapExceeded(
+                f"homology cell budget exceeded: the dense block left of {name} after unit "
+                f"pivots is {len(index)} x {len(left)} = {len(index) * len(left)} entries "
+                f"> cap {HOMOLOGY_CELL_CAP}"
+            )
+        rows = [[0] * len(left) for _ in index]
+        for j, col in enumerate(left):
+            for i, a in col.items():
+                rows[index[i]][j] = a
+        factors += smith_normal_form(rows, len(left))
+    return factors, pivots
+
+
 def homology(cx: SimplicialComplex, max_dim: int | None = None) -> HomologyReport:
     """Integer simplicial homology: Betti numbers and torsion invariants.
 
     rank d_1 is |V| minus the components found by union-find: d_1 is a
     graph incidence matrix, totally unimodular, so its invariant factors
     are all 1.  Each d_k with k >= 2 is built as sparse columns, checked
-    against d_(k-1) by exact sparse composition, and reduced by Smith
-    normal form.  Before any boundary matrix is built, each needed dense
-    d_k is checked against the cap on its entries (rows x columns).
+    against d_(k-1) by exact sparse composition, and reduced by
+    ``sparse_invariant_factors``: unit pivots first, then dense SNF on the
+    block left.  Before any matrix is built, the nonzeros (k+1) f_k of
+    each d_k to be built are checked against ``HOMOLOGY_CELL_CAP``; d_1
+    is built, for the check of d_2, only when d_2 is.
+
+    The d_k are reduced from the top down, and the (k-1)-faces taken as
+    unit pivot rows of d_k are cleared: their columns are left out of
+    d_(k-1).  That keeps the invariant factors of d_(k-1), which depend
+    only on the lattice L its columns span (they are read off Z^rows / L).
+    When the pivot at face t was taken, its column was d_k z for an
+    integer chain z (each step adds integer multiples of other columns),
+    with entry +-1 at t and none at the earlier pivot rows.  So
+    d_(k-1) d_k z = 0 writes the column of t as an integer combination of
+    the columns of faces that are no earlier pivot row.  By induction from
+    the last pivot back to the first, every cleared column is an integer
+    combination of the columns kept.  Pivots from the dense block are not
+    cleared.
     """
     if not cx.vertices:
         return HomologyReport((), ())
@@ -395,18 +505,19 @@ def homology(cx: SimplicialComplex, max_dim: int | None = None) -> HomologyRepor
     top = dim if max_dim is None else min(max_dim, dim)
     sizes = [len(cx.faces_of_size(s)) for s in range(1, top + 3)]
     last = min(top + 1, dim)  # d_k for k > last is zero or not needed
-    for d in range(2, last + 1):
-        if sizes[d - 1] * sizes[d] > HOMOLOGY_CELL_CAP:
+    for d in range(last, 0, -1) if last >= 2 else ():
+        if (d + 1) * sizes[d] > HOMOLOGY_CELL_CAP:
             raise CapExceeded(
-                f"homology cell budget exceeded: d_{d} is {sizes[d - 1]} x {sizes[d]} = "
-                f"{sizes[d - 1] * sizes[d]} entries > cap {HOMOLOGY_CELL_CAP}"
+                f"homology cell budget exceeded: d_{d} has {(d + 1) * sizes[d]} nonzeros "
+                f"({sizes[d]} columns of {d + 1}) > cap {HOMOLOGY_CELL_CAP}"
             )
 
-    ranks = [0, len(cx.vertices) - _components(cx)]
-    diags = [[], []]
-    lower = boundary_matrix(cx, 1) if last >= 2 else []
-    for d in range(2, last + 1):
-        cols = boundary_matrix(cx, d)
+    ranks = [0, len(cx.vertices) - _components(cx)] + [0] * (top + 1)
+    diags = [[] for _ in ranks]
+    cleared = frozenset()
+    cols = boundary_matrix(cx, last) if last >= 2 else []
+    for d in range(last, 1, -1):
+        lower = boundary_matrix(cx, d - 1)
         for col in cols:
             acc: dict[int, int] = {}
             for i, a in col.items():
@@ -414,15 +525,9 @@ def homology(cx: SimplicialComplex, max_dim: int | None = None) -> HomologyRepor
                     acc[r] = acc.get(r, 0) + a * b
             if any(acc.values()):
                 raise InvariantViolation("boundary composed with boundary is nonzero")
-        rows = [[0] * len(cols) for _ in range(sizes[d - 1])]
-        for j, col in enumerate(cols):
-            for i, a in col.items():
-                rows[i][j] = a
-        diags.append(smith_normal_form(rows, len(cols)))
-        ranks.append(len(diags[-1]))
-        lower = cols
-    ranks += [0] * (top + 2 - len(ranks))
-    diags += [[]] * (top + 2 - len(diags))
+        diags[d], cleared = sparse_invariant_factors(cols, cleared, f"d_{d}")
+        ranks[d] = len(diags[d])
+        cols = lower
 
     betti = tuple(sizes[d] - ranks[d] - ranks[d + 1] for d in range(top + 1))
     torsion = tuple(tuple(x for x in diags[d + 1] if x > 1) for d in range(top + 1))

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 import gogtool as gt
-from gogtool import cli
+from gogtool import cli, simplicial
 from gogtool.cli import main
 from gogtool.stein_farley import DescendingLink
 
@@ -488,13 +488,21 @@ def test_out_of_memory_exits_two(capsys, monkeypatch):
     assert "Traceback" not in err
 
 
-def test_homology_cell_cap_exits_two(capsys):
-    # the height-12 link builds quickly, but its d_2 is far too large for dense SNF
-    code, out, err = run(capsys, "desclink", str(DATA / "amalgam33.gog"), "--height", "12")
+def test_homology_cell_cap_exits_two(capsys, monkeypatch):
+    # the height-12 link's d_2 has 17,325 nonzeros, all reduced by unit pivots
+    argv = ("desclink", str(DATA / "amalgam33.gog"), "--height", "12")
+    code, out, _ = run(capsys, *argv)
+    assert code == 0
+    link = json.loads(out.split("\n", 1)[1].split("# artifact:")[0])["links"][0]
+    assert link["f_vector"] == [495, 17325, 5775]
+    assert link["betti"] == [1, 11056]
+    # below that count the cap stops the run before any matrix is built
+    monkeypatch.setattr(simplicial, "HOMOLOGY_CELL_CAP", 17_324)
+    code, out, err = run(capsys, *argv)
     assert code == 2
     assert out == ""
     assert err.count("\n") == 1 and err.startswith("cap exceeded:")
-    assert "d_2 is 17325 x 5775" in err
+    assert "d_2 has 17325 nonzeros" in err
 
 
 def test_desclink_artifacts_byte_identical(tmp_path):

@@ -6,6 +6,7 @@ import subprocess
 import sys
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 import gogtool as gt
 from gogtool import simplicial
@@ -21,6 +22,7 @@ from gogtool.simplicial import (
     m_joinable,
     random_complex,
     smith_normal_form,
+    sparse_invariant_factors,
 )
 
 from conftest import DATA
@@ -34,6 +36,35 @@ RP2 = SimplicialComplex.from_maximal(
         {2, 3, 5}, {2, 4, 5}, {2, 4, 6}, {3, 4, 6}, {3, 5, 6},
     ]
 )
+
+
+def _klein_bottle() -> SimplicialComplex:
+    """The 3 x 3 grid on the unit square, glued left to right and, with a
+    flip, bottom to top: 9 vertices, 27 edges, 18 triangles."""
+
+    def label(i, j):
+        return 3 * (j % 3) + (-i if j == 3 else i) % 3
+
+    faces = []
+    for i in range(3):
+        for j in range(3):
+            a, b, c, d = label(i, j), label(i + 1, j), label(i, j + 1), label(i + 1, j + 1)
+            faces += [{a, b, d}, {a, c, d}]
+    return SimplicialComplex.from_maximal(faces)
+
+
+def _moore_space_z3() -> SimplicialComplex:
+    """A disk whose boundary of 9 edges wraps 3 times round the circle
+    0-1-2, through a ring of 9 inner vertices 3..11 and a centre 12."""
+    faces = []
+    for k in range(9):
+        x, y, m, n = k % 3, (k + 1) % 3, 3 + k, 3 + (k + 1) % 9
+        faces += [{x, y, m}, {y, m, n}, {m, n, 12}]
+    return SimplicialComplex.from_maximal(faces)
+
+
+KLEIN = _klein_bottle()
+MOORE3 = _moore_space_z3()
 
 
 def test_from_maximal_normalises():
@@ -63,6 +94,26 @@ def test_homology_torsion_projective_plane():
     assert rep.torsion == ((), (2,), ())
 
 
+def _with_solid_tetrahedra(cx: SimplicialComplex) -> SimplicialComplex:
+    """``cx`` with a tetrahedron glued on each triangle at a new apex: the
+    same homology, but each tetrahedron's triangles are free faces of d_3,
+    so the top-down reduction clears one of their columns from d_2."""
+    apex = itertools.count(max(cx.vertices) + 1)
+    tetrahedra = [set(t) | {next(apex)} for t in sorted(cx.faces_of_size(3))]
+    return SimplicialComplex.from_maximal(list(cx.maximal_faces) + tetrahedra)
+
+
+def test_homology_torsion_matches_dense_oracle():
+    cases = ((RP2, (1, 0, 0), (2,)), (KLEIN, (1, 1, 0), (2,)), (MOORE3, (1, 0, 0), (3,)))
+    for base, betti, torsion in cases:
+        thick = _with_solid_tetrahedra(base)
+        assert homology(base) == gt.HomologyReport(betti, ((), torsion, ()))
+        assert homology(thick) == gt.HomologyReport(betti + (0,), ((), torsion, (), ()))
+        for cx in (base, thick):
+            for max_dim in (None, 0, 1, 2):
+                assert homology(cx, max_dim=max_dim) == dense_homology(cx, max_dim=max_dim)
+
+
 def test_homology_caveat_attached():
     assert "necessary condition" in homology(HOLLOW).caveat
 
@@ -71,6 +122,15 @@ def test_homology_face_cap(monkeypatch):
     monkeypatch.setattr(simplicial, "HOMOLOGY_CELL_CAP", 3)
     with pytest.raises(CapExceeded):
         homology(SPHERE)
+
+
+def test_dense_block_cap(monkeypatch):
+    # 2 I_3 holds no unit entry, so all of it is the dense block: 3 x 3 cells
+    monkeypatch.setattr(simplicial, "HOMOLOGY_CELL_CAP", 5)
+    with pytest.raises(CapExceeded, match="dense block left of the matrix .* 3 x 3 = 9 entries"):
+        sparse_invariant_factors([{0: 2}, {1: 2}, {2: 2}])
+    monkeypatch.setattr(simplicial, "HOMOLOGY_CELL_CAP", 9)
+    assert sparse_invariant_factors([{0: 2}, {1: 2}, {2: 2}]) == ([2, 2, 2], set())
 
 
 def test_smith_normal_form_basics():
@@ -165,6 +225,25 @@ def _densified(cols, nrows):
         for i, a in col.items():
             rows[i][j] = a
     return rows
+
+
+@st.composite
+def _small_int_matrices(draw):
+    """Integer matrices up to 8 x 8 with entries in -3..3; half of them
+    hold no unit entry, so only the dense path runs on them."""
+    m, n = draw(st.integers(0, 8)), draw(st.integers(0, 8))
+    entries = draw(st.sampled_from((st.integers(-3, 3), st.sampled_from((-3, -2, 0, 2, 3)))))
+    return [draw(st.lists(entries, min_size=n, max_size=n)) for _ in range(m)], n
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=300)
+@given(_small_int_matrices())
+@example(([[1, 1, 0], [1, 0, 1], [0, 1, 1]], 3))  # the first pivot fills in; a 2 is left
+@example(([[2, 3], [3, -2]], 2))  # no unit entry, yet a factor 1
+def test_sparse_invariant_factors_match_dense_snf(matrix):
+    rows, n = matrix
+    cols = [{i: row[j] for i, row in enumerate(rows) if row[j]} for j in range(n)]
+    assert sparse_invariant_factors(cols)[0] == smith_normal_form(rows, n)
 
 
 def test_boundary_matrix_squares_to_zero():
