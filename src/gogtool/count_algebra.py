@@ -273,6 +273,27 @@ def elementary_expansion_ok(c: CountVector, mu: Sequence[int], table, base: Coun
     )
 
 
+def allowed_multisets(c: CountVector, table, base: CountVector) -> frozenset[Vec]:
+    """The nonzero caret-type multisets mu that ``elementary_expansion_ok``
+    accepts at ``c``, from one ``realizable`` search: those with M mu <= L
+    and mu <= N for some history N of c, a downward-closed set.  Assumes
+    the viral property.
+
+    Proof: with Phi(n) = (<I, n>, (M - Id) n) the count map, c = base +
+    Phi(N), so the residual tested is base + Phi(N - mu), and its leaf
+    test res_l >= mu reads M mu <= L.  If mu <= N, N - mu is a history of
+    the residual, whose interior is then at least the base's; conversely,
+    a history N' of the residual gives the history N' + mu >= mu of c.
+    """
+    return frozenset(
+        mu
+        for n in realizable(c, table, base, viral=True)
+        for mu in itertools.product(*(range(t + 1) for t in n.expansions))
+        if any(mu)
+        and all(sum(map(operator.mul, row, mu)) <= l for row, l in zip(table.M, c.leaves))
+    )
+
+
 def elementary_expansion_predicate(
     rho: Sequence[int], table, base: CountVector
 ) -> Callable[[Vec], bool]:

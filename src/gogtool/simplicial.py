@@ -225,51 +225,34 @@ def lemma_connectivity_bound(cx: SimplicialComplex, sigma, m: int, k: int) -> Co
     if m < 0:
         raise ValidationError("m must be >= 0")
     sig = tuple(sorted(set(sigma)))
+
+    def failed(hypothesis: str) -> ConnectivityBound:
+        return ConnectivityBound(None, hypothesis, sig, m, k)
+
     if not set(sig) <= set(cx.vertices):
-        return ConnectivityBound(None, "sigma contains unknown vertices", sig, m, k)
+        return failed("sigma contains unknown vertices")
     if not is_m_pseudosimplex(cx, sig, m):
-        return ConnectivityBound(None, "sigma is not an m-pseudosimplex", sig, m, k)
+        return failed("sigma is not an m-pseudosimplex")
     flag = is_m_flag_wrt(cx, sig, m)
     if not flag.holds:
-        return ConnectivityBound(
-            None,
-            f"complex is not m-flag with respect to sigma: rho={flag.counterexample[0]}, "
-            f"tau={flag.counterexample[1]}",
-            sig,
-            m,
-            k,
-        )
+        rho, tau = flag.counterexample
+        return failed(f"complex is not m-flag with respect to sigma: rho={rho}, tau={tau}")
     l = len(sig) - 1
     size = max(l - k + 1, 0)
     if size > 0:
         for v in cx.vertices:
             cands = [w for w in sig if cx.is_face({v, w})]
             if len(cands) < size:
-                return ConnectivityBound(
-                    None, f"vertex {v!r} is not joinable to enough of sigma", sig, m, k
-                )
-            total = 1
-            for t in range(size):
-                total = total * (len(cands) - t) // (t + 1)
-            if total > PSEUDOFACE_SEARCH_CAP:
-                return ConnectivityBound(
-                    None,
-                    f"pseudoface search for vertex {v!r} exceeds cap {PSEUDOFACE_SEARCH_CAP}",
-                    sig,
-                    m,
-                    k,
+                return failed(f"vertex {v!r} is not joinable to enough of sigma")
+            if math.comb(len(cands), size) > PSEUDOFACE_SEARCH_CAP:
+                return failed(
+                    f"pseudoface search for vertex {v!r} exceeds cap {PSEUDOFACE_SEARCH_CAP}"
                 )
             if not any(
                 m_joinable(cx, (v,), tau, m)
                 for tau in itertools.combinations(cands, size)
             ):
-                return ConnectivityBound(
-                    None,
-                    f"vertex {v!r} is not m-joinable to any (l-k)-pseudoface of sigma",
-                    sig,
-                    m,
-                    k,
-                )
+                return failed(f"vertex {v!r} is not m-joinable to any (l-k)-pseudoface of sigma")
     return ConnectivityBound(min(l // k - 1, m - 1), None, sig, m, k)
 
 
@@ -566,26 +549,19 @@ def random_complex(
     }
 
     cap = n_vertices if max_dim is None else max_dim + 1
-    cliques = [(v,) for v in verts]
-    layer = cliques[:]
-    size = 1
-    while layer and size < cap:
+    layers = [[(v,) for v in verts]]
+    dropped = set()
+    while layers[-1] and len(layers) < cap:
         layer = [
             c + (v,)
-            for c in layer
+            for c in layers[-1]
             for v in range(c[-1] + 1, n_vertices)
             if all((u, v) in adj for u in c)
+            and not any((u, w, v) in dropped for u, w in itertools.combinations(c, 2))
         ]
-        cliques.extend(layer)
-        size += 1
-
-    dropped = set()
-    if drop > 0:
-        for tri in sorted(c for c in cliques if len(c) == 3):
-            if tri[-1] >= ground and rng.random() < drop:
-                dropped.add(tri)
-
-    faces = [
-        c for c in cliques if not dropped.intersection(itertools.combinations(c, 3))
-    ]
-    return SimplicialComplex.from_maximal(faces, vertices=verts)
+        if len(layers) == 2 and drop > 0:
+            # drawn in sorted order; no clique holding a dropped one grows
+            dropped = {t for t in layer if t[-1] >= ground and rng.random() < drop}
+            layer = [t for t in layer if t not in dropped]
+        layers.append(layer)
+    return SimplicialComplex(tuple(verts), tuple(frozenset(layer) for layer in layers if layer))

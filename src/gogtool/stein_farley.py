@@ -20,12 +20,13 @@ of its slots, read off per-slot vertex bitsets, so its time follows the
 faces it emits.  Its sorted layers are read in place: the maximal faces
 come from the one rule in ``simplicial.maximal_faces``, and the JSON
 form copies no face.  The two constructions differ only in where the
-allowed mu come from: the fast path grows them from count data alone
-(only claimed for systems with the viral expansion property), while the
-definition-level oracle reads them off an explicit tree enumeration and
-is compared against the fast path at desk scale.  The connectivity
-report reads only the link and the threshold constants it is given, the
-planted ground face included; the constants are computed once per run.
+downward-closed set of allowed mu comes from: the fast path reads it off
+the histories of the count class (only claimed for systems with the
+viral expansion property), while the definition-level oracle reads it
+off an explicit tree enumeration and is compared against the fast path.
+The connectivity report reads only the link and the threshold constants
+it is given, the planted ground face included; the constants are
+computed once per run.
 """
 
 from __future__ import annotations
@@ -33,7 +34,7 @@ from __future__ import annotations
 import heapq
 import itertools
 import math
-from collections.abc import Callable, Sequence
+from collections.abc import Collection, Sequence
 from dataclasses import dataclass
 
 from .count_algebra import (
@@ -42,7 +43,7 @@ from .count_algebra import (
     CountVector,
     History,
     Thresholds,
-    elementary_expansion_ok,
+    allowed_multisets,
     expansion_matrix,
     predict_counts,
     weighted_vectors,
@@ -162,33 +163,33 @@ class DescendingLink:
         }
 
 
-def _link(x: CountVector, table: CaretTable, keep: Callable[[tuple], bool]) -> DescendingLink:
-    """The link whose faces are the labelled faces of the caret-type
-    multisets mu that ``keep`` allows.
+def _link(x: CountVector, table: CaretTable, allowed: Collection[tuple[int, ...]]) -> DescendingLink:
+    """The link whose faces are the labelled faces of the nonzero
+    caret-type multisets mu in the downward-closed set ``allowed``.
 
-    Each type j with ``keep(e_j)`` contributes its vertices in LinkVertex
-    order, so types occupy increasing index ranges [lo, hi).  A leaf slot
-    is a (type, position) pair, and ``users[j][s]`` is the bitset of the
-    type-j vertices holding slot s, bit v - lo for vertex v.  These
-    bitsets take O(slots x |V|) bits; no per-vertex conflict set (O(|V|^2)
-    bits) is kept.
+    Each type j with e_j in ``allowed`` contributes its vertices in
+    LinkVertex order, so types occupy increasing index ranges [lo, hi).  A
+    leaf slot is a (type, position) pair, and ``users[j][s]`` is the
+    bitset of the type-j vertices holding slot s, bit v - lo for vertex v.
+    These bitsets take O(slots x |V|) bits; no per-vertex conflict set
+    (O(|V|^2) bits) is kept.
 
-    mu is tried when every mu - e_i was kept, and kept when ``keep(mu)``
-    holds.  A face of mu is a face of mu - e_j, j the largest type in mu,
-    plus a type-j vertex past its last index that holds none of its
-    slots.  Those vertices are the range [max(lo, last + 1), hi) minus
-    the OR of ``users[j][s]`` over the face's slots, so the cost follows
-    the faces emitted rather than the vertices scanned.  The last vertex
-    of a face of mu has type j, and removing it leaves the face it grew
-    from; so each face is built exactly once, as an increasing index
-    tuple.  The parent faces come in increasing order and the set bits
-    are walked upward, so the faces of one mu come out increasing, and
-    merging those runs sorts a layer.
+    Layer s holds the faces of the mu of size s in ``allowed``.  A face of
+    mu is a face of mu - e_j, j the largest type in mu, plus a type-j
+    vertex past its last index that holds none of its slots.  Those
+    vertices are the range [max(lo, last + 1), hi) minus the OR of
+    ``users[j][s]`` over the face's slots, so the cost follows the faces
+    emitted rather than the vertices scanned.  The last vertex of a face
+    of mu has type j, and removing it leaves the face it grew from; so
+    each face is built exactly once, as an increasing index tuple.  The
+    parent faces come in increasing order and the set bits are walked
+    upward, so the faces of one mu come out increasing, and merging those
+    runs sorts a layer.
     """
     k = len(x.leaves)
     units = [tuple(int(t == j) for t in range(k)) for j in range(k)]
     vertices, slots, spans = [], [], {}
-    for j in (j for j in range(k) if keep(units[j])):
+    for j in (j for j in range(k) if units[j] in allowed):
         lo = len(vertices)
         for choice in itertools.product(
             *(itertools.combinations(range(n), table.M[i][j]) for i, n in enumerate(x.leaves))
@@ -210,20 +211,15 @@ def _link(x: CountVector, table: CaretTable, keep: Callable[[tuple], bool]) -> D
     ids = tuple(range(len(vertices)))
     layer = {units[j]: [(v,) for v in ids[lo:hi]] for j, (lo, hi) in spans.items()}
     higher = []
-    while True:
-        grown = {tuple(n + (t == j) for t, n in enumerate(nu)) for nu in layer for j in range(k)}
+    for size in range(2, max(map(sum, allowed), default=0) + 1):
         kept = {}
-        for mu in grown:
-            # subs[-1] is mu - e_j for the largest type j in mu
-            subs = [tuple(n - (t == i) for t, n in enumerate(mu)) for i in range(k) if mu[i]]
-            if not (all(nu in layer for nu in subs) and keep(mu)):
-                continue
+        for mu in (mu for mu in allowed if sum(mu) == size):
             j = max(i for i in range(k) if mu[i])
             lo, hi = spans[j]
             uj = users[j]
             span = (1 << (hi - lo)) - 1
             faces = kept[mu] = []
-            for face in layer[subs[-1]]:
+            for face in layer[tuple(n - (t == j) for t, n in enumerate(mu))]:
                 blocked = 0
                 for v in face:
                     for s in slots[v]:
@@ -234,10 +230,9 @@ def _link(x: CountVector, table: CaretTable, keep: Callable[[tuple], bool]) -> D
                     low = free & -free
                     faces.append(face + (ids[start + low.bit_length() - 1],))
                     free ^= low
-        if not kept:
-            return DescendingLink(x, tuple(vertices), tuple(higher))
         higher.append(tuple(heapq.merge(*kept.values())))
         layer = kept
+    return DescendingLink(x, tuple(vertices), tuple(higher))
 
 
 def descending_link(
@@ -248,10 +243,11 @@ def descending_link(
 ) -> DescendingLink:
     """Fast-path construction of the descending link from count data only.
 
-    The allowed caret-type multisets are those ``elementary_expansion_ok``
-    accepts, grown from the single carets by ``_link``.  Only claimed for
-    systems with the viral expansion property; the oracle below validates
-    the reduction at desk scale.
+    The allowed caret-type multisets are read off the histories of x by
+    ``allowed_multisets``, one ``realizable`` search per link; the vertex
+    count and ``_link`` both read that set.  Only claimed for systems with
+    the viral expansion property; the oracle below validates the
+    reduction at desk scale.
     """
     if not is_viral(table, base):
         raise ValidationError(
@@ -259,14 +255,15 @@ def descending_link(
             "run `gogtool viral` on this system"
         )
     k = len(table.I)
+    allowed = allowed_multisets(x, table, base)
     total = sum(
         math.prod(math.comb(x.leaves[i], table.M[i][j]) for i in range(k))
         for j in range(k)
-        if elementary_expansion_ok(x, tuple(int(t == j) for t in range(k)), table, base)
+        if tuple(int(t == j) for t in range(k)) in allowed
     )
     if total > max_vertices:
         raise CapExceeded(f"descending link would have more than {max_vertices} vertices")
-    return _link(x, table, lambda mu: elementary_expansion_ok(x, mu, table, base))
+    return _link(x, table, allowed)
 
 
 # -- definition-level oracle ---------------------------------------------
@@ -303,8 +300,8 @@ def oracle_descending_link(
     the caret-type multiset of every set of removable carets.  Every
     type-preserving leaf matching is realised by a rearrangement, so each
     multiset contributes all its labelled faces, which ``_link`` builds as
-    on the fast path; the multisets found are downward closed, so every
-    one of them is tried.
+    on the fast path; the multisets found are downward closed, so they
+    are its allowed set as they stand.
     """
     t0.require_admissible("t0")
     table = caret_table(g, gs)
@@ -318,7 +315,7 @@ def oracle_descending_link(
                 continue
             types = [j for _, j in _removable_carets(t, t0)]
             mus.update(itertools.product(*(range(types.count(j) + 1) for j in range(gs.k))))
-    return _link(x, table, mus.__contains__)
+    return _link(x, table, mus)
 
 
 def link_difference(a: DescendingLink, b: DescendingLink) -> str | None:

@@ -6,14 +6,17 @@ import pytest
 
 import gogtool as gt
 from gogtool.count_algebra import (
+    allowed_multisets,
     dickson_minimal,
+    elementary_expansion_ok,
     expansion_matrix,
     order_feasible,
     weighted_vectors,
 )
 from gogtool.errors import DicksonBoxExhausted, ValidationError
+from gogtool.stein_farley import is_viral, sf_vertices_at_height
 
-from conftest import System
+from conftest import System, make_system, random_gog
 
 
 def test_predict_empty_history(loop33: System):
@@ -242,3 +245,33 @@ def test_beta_invariant_under_gate_permutation(loop33: System):
 
 def test_expansion_matrix(loop33: System):
     assert expansion_matrix(loop33.table) == ((2, 2), (2, 2))
+
+
+def test_allowed_multisets_match_the_predicate(loop33: System, amalgam33: System, bs23_aug: System):
+    # the bundled systems over 30 heights, then the first seeds, in order,
+    # whose augmented system is viral with k <= 3 over 40; the comparison
+    # chooses no seed
+    systems = [(sys, 30) for sys in (loop33, amalgam33, bs23_aug)]
+    seeds = []
+    for seed in itertools.count():
+        sys = make_system(gt.augment(random_gog(random.Random(seed), min_degree_two=True)))
+        if len(sys.table.I) <= 3 and is_viral(sys.table, sys.base):
+            seeds.append(seed)
+            systems.append((sys, 40))
+            if len(seeds) == 12:
+                break
+    assert seeds == [2, 4, 5, 6, 8, 10, 11, 13, 15, 18, 21, 22]
+    pairs = 0
+    for sys, heights in systems:
+        k = len(sys.table.I)
+        for h in range(sys.base.height, sys.base.height + heights):
+            for x in sf_vertices_at_height(h, sys.table, sys.base):
+                allowed = allowed_multisets(x, sys.table, sys.base)
+                # every mu up to one size past the largest allowed
+                for size in range(1, max(map(sum, allowed), default=0) + 2):
+                    for combo in itertools.combinations_with_replacement(range(k), size):
+                        mu = tuple(combo.count(j) for j in range(k))
+                        ok = elementary_expansion_ok(x, mu, sys.table, sys.base)
+                        assert (mu in allowed) == ok, (x, mu)
+                        pairs += 1
+    assert pairs == 1182

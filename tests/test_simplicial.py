@@ -609,3 +609,17 @@ def test_random_complex_drop_removes_material():
 def test_random_complex_max_dim_cap():
     cx = random_complex(3, 6, 1.0, max_dim=2)
     assert cx.dimension == 2
+
+
+def test_random_complex_layers_are_closed():
+    # the layers are built with no closure pass, so the complex must
+    # already be the one its own faces generate
+    for seed in range(60):
+        rng = random.Random(seed)
+        n = rng.randint(0, 11)
+        max_dim = rng.choice((None, 0, 1, 2, 3))
+        drop = rng.choice((0.0, 0.15, 0.5, 1.0))
+        cx = random_complex(seed, n, rng.random(), ground=rng.randint(0, n), drop=drop, max_dim=max_dim)
+        faces = [f for level in cx.faces for f in level]
+        assert cx == SimplicialComplex.from_maximal(faces, vertices=cx.vertices), seed
+        assert max_dim is None or cx.dimension <= max_dim

@@ -9,6 +9,7 @@ from types import SimpleNamespace
 import pytest
 
 import gogtool as gt
+from gogtool import count_algebra
 from gogtool.count_algebra import elementary_expansion_ok
 from gogtool.errors import CapExceeded, ValidationError
 from gogtool.stein_farley import (
@@ -215,13 +216,12 @@ def kept_by_definition(keep, k: int, top: int) -> list[tuple[int, ...]]:
     return out
 
 
-def check_link(M, leaves, keep, brute) -> int:
-    """Compare ``_link`` with the definition; return its face count."""
-    k = len(leaves)
-    link = _link(xv(0, leaves), SimpleNamespace(M=M), keep)
-    kept = kept_by_definition(keep, k, 4)
+def check_link(M, leaves, allowed, brute) -> int:
+    """Compare ``_link`` on the downward-closed set ``allowed`` with the
+    definition; return its face count."""
+    link = _link(xv(0, leaves), SimpleNamespace(M=M), allowed)
     assert list(link.vertices) == sorted(link.vertices)
-    assert len(link.higher_faces) == max(map(sum, kept), default=1) - 1
+    assert len(link.higher_faces) == max(map(sum, allowed), default=1) - 1
     index = {v: i for i, v in enumerate(link.vertices)}
     levels = [[(i,) for i in range(len(link.vertices))], *link.higher_faces]
     for size, faces in enumerate(levels, 1):
@@ -229,7 +229,7 @@ def check_link(M, leaves, keep, brute) -> int:
         assert len(set(faces)) == len(faces), (M, leaves, size)  # each face once
         expected = {
             frozenset(index[v] for v in face)
-            for mu in kept
+            for mu in allowed
             if sum(mu) == size
             for face in brute(mu)
         }
@@ -275,11 +275,12 @@ def test_faces_match_definition(loop33: System, amalgam33: System):
         def below_tops(mu):
             return any(all(a <= b for a, b in zip(mu, top)) for top in tops)
 
-        # and one that is not: a multiset is only tried when all the
-        # multisets one caret smaller were kept
+        # and one that is not, passed as the largest downward-closed set
+        # inside it
         scattered = set(rng.sample(small, len(small) * 2 // 3))
         for keep in (lambda mu: sum(mu) <= 3, below_tops, scattered.__contains__):
-            nonempty += bool(check_link(M, leaves, keep, brute))
+            allowed = set(kept_by_definition(keep, k, 4))
+            nonempty += bool(check_link(M, leaves, allowed, brute))
     assert nonempty >= 60
 
 
@@ -409,6 +410,55 @@ def closed_form(mu, M, leaves) -> int:
     den *= math.prod(math.factorial(n) for n in mu)
     assert num % den == 0
     return num // den
+
+
+def disjoint_subsets_complex(n: int, size: int):
+    """The size-subsets of range(n) in lexicographic order, and the sorted
+    layers of the complex whose faces are pairwise disjoint ones."""
+    verts = list(itertools.combinations(range(n), size))
+    index = {s: i for i, s in enumerate(verts)}
+    layers = [[(i,) for i in range(len(verts))]]
+    while True:
+        grown = sorted(
+            f + (index[s],)
+            for f in layers[-1]
+            for s in itertools.combinations(sorted(set(range(n)).difference(*(verts[i] for i in f))), size)
+            if index[s] > f[-1]
+        )
+        if not grown:
+            return verts, layers
+        layers.append(grown)
+
+
+def test_single_type_link_is_disjoint_subsets(amalgam33: System):
+    # amalgam(3,3) has one caret type with 4 terminal leaves, and every
+    # set of disjoint carets that fits is allowed
+    assert amalgam33.table.M == ((4,),)
+    heights = []
+    for h in range(3, 13):
+        for x in sf_vertices_at_height(h, amalgam33.table, amalgam33.base):
+            link = descending_link(x, amalgam33.table, amalgam33.base)
+            verts, layers = disjoint_subsets_complex(x.leaves[0], 4)
+            assert link.vertices == tuple(LinkVertex(0, (s,)) for s in verts), h
+            assert [[(v,) for v in range(len(verts))], *map(list, link.higher_faces)] == layers, h
+            heights.append(h)
+    assert heights == [3, 6, 9, 12]
+    assert link.f_vector == (495, 17325, 5775)
+
+
+def test_descending_link_makes_one_realizable_call(loop33: System, monkeypatch):
+    calls = 0
+    search = count_algebra.realizable
+
+    def counted(*args, **kwargs):
+        nonlocal calls
+        calls += 1
+        return search(*args, **kwargs)
+
+    monkeypatch.setattr(count_algebra, "realizable", counted)
+    (x,) = sf_vertices_at_height(14, loop33.table, loop33.base)
+    assert descending_link(x, loop33.table, loop33.base).f_vector == (1470, 73500)
+    assert calls == 1
 
 
 def test_face_counts_match_closed_form(loop33: System, amalgam33: System):
