@@ -315,7 +315,10 @@ def _cmd_desclink(args) -> tuple[int, dict[str, str]]:
     reports = []
     csv_lines = [CSV_HEADER]
     for i, x in enumerate(verts):
-        link = descending_link(x, table, base, max_vertices=args.max_link_vertices)
+        # the report takes homology up to max(m_max, 1): refuse before building
+        link = descending_link(
+            x, table, base, max_vertices=args.max_link_vertices, homology_dim=max(args.m_max, 1)
+        )
         if i == 0:  # once per run, after the first link: a capped run does no Dickson search
             ths = [
                 compute_thresholds(m, table, base, box=args.dickson_box)

@@ -24,14 +24,18 @@ interior sets, which are several times smaller than node sets.
 Growth below a vertex depends only on the vertex's entry, so the tree
 system keeps one caret shape per entry, built on first use: the forced
 completion below a vertex with that entry, as addresses relative to it,
-its leaves with their entries, and the count delta it adds.  Growing a
-patch at a leaf places the shape there: tuple concatenation plus an O(k)
-count update.  ``TreePatch(system, interior)`` validates its interior
-and walks it for the leaves.  Patches grown or combined from other
-patches (``_grow``, ``_combine``) take their interior, leaves and
-admissibility from their operands and the shape table, with no walk and
-no re-validation; grown patches also take their counts from their
-parent's, and the others take a leaf census when first asked.
+its leaves with their entries, and the count delta it adds.  A vertex's
+entry is a function of its address (of its last step), so the shape
+placed at an address (``CaretShape.place``) is a value of the address
+alone.  An enumeration places each leaf's caret once, and every patch
+growing that leaf shares the placed leaf tuples: growth is one copy of
+the parent's leaf list plus an O(k) count update.
+``TreePatch(system, interior)`` validates its interior and walks it for
+the leaves.  Patches grown or combined from other patches (``_grow``,
+``_combine``) take their interior, leaves and admissibility from their
+operands and the shape table, with no walk and no re-validation; grown
+patches also take their counts from their parent's, and the others take
+a leaf census when first asked.
 
 Admissible patches additionally have every leaf entered through a gate,
 so their root is always interior.
@@ -42,7 +46,7 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
-from operator import add
+from operator import add, itemgetter
 
 from .count_algebra import CountVector, History
 from .errors import (
@@ -74,9 +78,10 @@ class TreeSystem:
     sorted half-edges, then None for the root), ``steps`` (the sorted
     (half-edge, lift) pairs), ``children[entry]`` (the child steps of a
     vertex with that entry, each mapped to the child's entry),
-    ``gate_type[entry]`` (None for a non-gate) and ``step_entry[step]``.
-    Step numbers depend on the graph alone.  A sixth table, the caret
-    shape of each entry (``shape``), is filled one entry at a time, on
+    ``gate_type[entry]`` (None for a non-gate) and ``step_entry[step]``;
+    ``ungated``, the set of entries with no gate type, is read off
+    ``gate_type``.  Step numbers depend on the graph alone.  The caret
+    shape of each entry (``shape``) is filled one entry at a time, on
     first use, so a shape over the node budget raises only where it is
     grown.
     """
@@ -114,11 +119,13 @@ class TreeSystem:
             for e in entries
         )
         # the dataclass is frozen, so the tables go straight into __dict__
+        gate_type = tuple(self.gates.type_index(e) if e in self.gates else None for e in entries)
         vars(self).update(
             entries=entries,
             steps=steps,
             children=children,
-            gate_type=tuple(self.gates.type_index(e) if e in self.gates else None for e in entries),
+            gate_type=gate_type,
+            ungated=frozenset(n for n, ty in enumerate(gate_type) if ty is None),
             step_entry=tuple(entry_no[h.opposite()] for h, _ in steps),
             _shapes={},
         )
@@ -173,8 +180,7 @@ def _leaves(system: TreeSystem, interior: frozenset[Address] | set[Address]) -> 
 
 def _gated(system: TreeSystem, leaves: list[Leaf]) -> bool:
     """Whether every leaf is entered through a gate."""
-    gate_type = system.gate_type
-    return None not in [gate_type[e] for _, e in leaves]
+    return system.ungated.isdisjoint(map(itemgetter(1), leaves))
 
 
 @dataclass(frozen=True)
@@ -315,17 +321,25 @@ class CaretShape:
     its ``leaves`` with their entry numbers, and ``delta``, what growing it
     at a leaf with that entry adds to the counts: the interior size, then
     the leaf census minus the grown leaf's own type, if it has one.  For a
-    gate entry of type j, delta is (I_j, M column j - e_j)."""
+    gate entry of type j, delta is (I_j, M column j - e_j).
+
+    Placed at an address (``place``), the shape is a value of the address
+    alone: the entry is read off the address's last step, and the shape
+    off the entry.  So the patches that grow one leaf can share one
+    placement, whose leaf tuples equal those each would build."""
 
     interior: tuple[Address, ...]
     leaves: tuple[Leaf, ...]
     delta: CountVector
 
-    def at(self, addr: Address) -> frozenset[Address]:
-        """The interior addresses of the shape grown at ``addr``, as a set:
-        a set operand sizes the table of a set union once, where an
-        iterable would grow it step by step to twice the size."""
-        return frozenset([addr + a for a in self.interior])
+    def place(self, addr: Address) -> tuple[frozenset[Address], list[Leaf]]:
+        """The shape grown at ``addr``: its interior addresses as a set (a
+        set operand sizes the table of a set union once, where an iterable
+        would grow it step by step to twice the size), and its leaves."""
+        return (
+            frozenset([addr + a for a in self.interior]),
+            [(addr + a, e) for a, e in self.leaves],
+        )
 
 
 def _build_shape(system: TreeSystem, entry: int, at: Address) -> CaretShape:
@@ -378,7 +392,7 @@ def base_tree(g: GraphOfGroups, gs: GateSystem, seed: "TreePatch | str") -> Tree
     grown = set(seed.interior)
     for a, e in seed._leaf_list:
         if system.gate_type[e] is None:
-            grown.update(system.shape(e, a).at(a))
+            grown.update(system.shape(e, a).place(a)[0])
     return TreePatch(system, frozenset(grown))
 
 
@@ -474,12 +488,23 @@ def expand_leaf(t: TreePatch, leaf: Address) -> TreePatch:
     if system.gate_type[entry] is None:
         raise ValidationError(f"leaf {leaf} has no gate type (entry {system.entries[entry]})")
     shape = system.shape(entry, leaf)
-    return _grow(t, t._leaf_list.index((leaf, entry)), shape, t.interior.union(shape.at(leaf)))
+    mat, placed = shape.place(leaf)
+    return _grow(t, t._leaf_list.index((leaf, entry)), t.interior.union(mat), placed, shape.delta)
 
 
-def _grow(t: TreePatch, i: int, shape: CaretShape, interior: frozenset[Address]) -> TreePatch:
-    """``t`` grown to ``interior`` by ``shape`` at its ``i``-th listed leaf,
-    which has a gate type, built by ``TreePatch._derived``.
+def _grow(
+    t: TreePatch, i: int, interior: frozenset[Address], placed: list[Leaf], delta: CountVector
+) -> TreePatch:
+    """``t`` grown to ``interior`` by a shape placed at its ``i``-th listed
+    leaf, which has a gate type, built by ``TreePatch._derived``;
+    ``placed`` is the shape's placed leaf list and ``delta`` its count
+    delta.
+
+    The child's leaf list is one copy of t's less the grown leaf, then
+    the placed leaves.  Their tuples are shared, not copied: a placement
+    is a value of the leaf's address (see ``CaretShape``) and tuples are
+    immutable, so each patch growing that leaf gets a list equal to the
+    one it would build for itself.
 
     Let C be the shape's addresses placed at the leaf l.  The shape walk
     starts at l with l's entry and appends to each vertex only child steps
@@ -494,10 +519,10 @@ def _grow(t: TreePatch, i: int, shape: CaretShape, interior: frozenset[Address])
     shape's leaves, all of which have gate types: the counts grow by the
     shape's delta, and the patch is admissible exactly when t is.
     """
-    old = t._leaf_list
-    leaf = old[i][0]
-    leaves = old[:i] + old[i + 1 :] + [(leaf + a, e) for a, e in shape.leaves]
-    counts, delta = t.counts(), shape.delta
+    leaves = t._leaf_list.copy()
+    del leaves[i]
+    leaves += placed
+    counts = t.counts()
     counts = CountVector(counts.interior + delta.interior, tuple(map(add, counts.leaves, delta.leaves)))
     return TreePatch._derived(t.system, interior, leaves, t._admissible, counts)
 
@@ -582,12 +607,14 @@ def enumerate_admissible(
     Two expansion sequences yield the same patch exactly when they expand
     the same vertex multiset, so breadth-first search over interior sets
     with set-dedup is exact.  Every leaf of an admissible patch has a gate
-    type, so every leaf is expandable.
+    type, so every leaf is expandable.  Each leaf is placed once per call
+    and the placement shared (see ``CaretShape``).
     """
     if t0.system.graph != g or t0.system.gates != gs:
         raise ValidationError("t0 belongs to a different system")
     t0.require_admissible("t0")
     shape = t0.system.shape
+    placements: dict[Address, tuple[frozenset[Address], list[Leaf], CountVector]] = {}
     # each patch carries its leaf list, which both growth and sorting read
     seen: dict[frozenset[Address], TreePatch] = {t0.interior: t0}
     frontier = [t0]
@@ -595,10 +622,14 @@ def enumerate_admissible(
         nxt: list[TreePatch] = []
         for t in frontier:
             for i, (leaf, entry) in enumerate(t._leaf_list):
-                caret = shape(entry, leaf)
-                grown = t.interior.union(caret.at(leaf))
+                placement = placements.get(leaf)
+                if placement is None:
+                    caret = shape(entry, leaf)
+                    placement = placements[leaf] = (*caret.place(leaf), caret.delta)
+                mat, placed, delta = placement
+                grown = t.interior.union(mat)
                 if grown not in seen:
-                    seen[grown] = _grow(t, i, caret, grown)
+                    seen[grown] = _grow(t, i, grown, placed, delta)
                     if len(seen) > max_trees:
                         raise CapExceeded(
                             f"enumeration exceeded the cap of {max_trees} trees"
@@ -648,18 +679,18 @@ def interval_lattice(t: TreePatch, t_prime: TreePatch) -> IntervalLattice:
     if not t.interior <= t_prime.interior:
         raise ValidationError("top does not contain bottom")
 
-    carets: dict[Address, tuple[int, CaretShape, frozenset[Address]]] = {}
+    carets: dict[Address, tuple[int, frozenset[Address], list[Leaf], CountVector]] = {}
     covered: set[Address] = set()
     for leaf, entry in t._leaf_list:
         if leaf not in t_prime.interior:
             continue
         shape = system.shape(entry, leaf)
-        mat = shape.at(leaf)
+        mat, placed = shape.place(leaf)
         if not mat <= t_prime.interior:
             raise InvariantViolation(
                 f"expansion of leaf {leaf} is not contained in the top patch"
             )
-        carets[leaf] = entry, shape, mat
+        carets[leaf] = entry, mat, placed, shape.delta
         covered |= mat
     extra = t_prime.interior - t.interior - covered
     if extra:
@@ -672,9 +703,10 @@ def interval_lattice(t: TreePatch, t_prime: TreePatch) -> IntervalLattice:
     # every element that has not grown it
     elements = [t]
     for leaf in leaves:
-        entry, shape, mat = carets[leaf]
+        entry, mat, placed, delta = carets[leaf]
         elements += [
-            _grow(e, e._leaf_list.index((leaf, entry)), shape, e.interior | mat) for e in elements
+            _grow(e, e._leaf_list.index((leaf, entry)), e.interior | mat, placed, delta)
+            for e in elements
         ]
     elements.sort(key=TreePatch.sort_key)
     return IntervalLattice(t, t_prime, leaves, tuple(elements))

@@ -28,6 +28,7 @@ import itertools
 import math
 import random
 from collections import defaultdict
+from collections.abc import Sequence
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -457,6 +458,23 @@ def sparse_invariant_factors(cols, skip=frozenset(), name="the matrix"):
     return factors, pivots
 
 
+def check_homology_cells(f_vector: Sequence[int], max_dim: int | None = None) -> None:
+    """Refuse ``homology`` up to ``max_dim`` of a complex with this
+    f-vector, before any matrix is built, when a d_k it would build has
+    more than ``HOMOLOGY_CELL_CAP`` nonzeros: (k+1) f_k, for k from the
+    top d_k needed (d_(max_dim+1), or the top dimension) down to 2, and
+    k = 1 when d_2 is built.  The cap is read on every call."""
+    dim = max((d for d, n in enumerate(f_vector) if n), default=-1)
+    top = dim if max_dim is None else min(max_dim, dim)
+    last = min(top + 1, dim)  # d_k for k > last is zero or not needed
+    for d in range(last, 0, -1) if last >= 2 else ():
+        if (d + 1) * f_vector[d] > HOMOLOGY_CELL_CAP:
+            raise CapExceeded(
+                f"homology cell budget exceeded: d_{d} has {(d + 1) * f_vector[d]} nonzeros "
+                f"({f_vector[d]} columns of {d + 1}) > cap {HOMOLOGY_CELL_CAP}"
+            )
+
+
 def homology(cx: SimplicialComplex, max_dim: int | None = None) -> HomologyReport:
     """Integer simplicial homology: Betti numbers and torsion invariants.
 
@@ -466,8 +484,9 @@ def homology(cx: SimplicialComplex, max_dim: int | None = None) -> HomologyRepor
     against d_(k-1) by exact sparse composition, and reduced by
     ``sparse_invariant_factors``: unit pivots first, then dense SNF on the
     block left.  Before any matrix is built, the nonzeros (k+1) f_k of
-    each d_k to be built are checked against ``HOMOLOGY_CELL_CAP``; d_1
-    is built, for the check of d_2, only when d_2 is.
+    each d_k to be built are checked against ``HOMOLOGY_CELL_CAP`` by
+    ``check_homology_cells``; d_1 is built, for the check of d_2, only
+    when d_2 is.
 
     The d_k are reduced from the top down, and the (k-1)-faces taken as
     unit pivot rows of d_k are cleared: their columns are left out of
@@ -484,16 +503,11 @@ def homology(cx: SimplicialComplex, max_dim: int | None = None) -> HomologyRepor
     """
     if not cx.vertices:
         return HomologyReport((), ())
+    check_homology_cells(cx.f_vector(), max_dim)
     dim = cx.dimension
     top = dim if max_dim is None else min(max_dim, dim)
     sizes = [len(cx.faces_of_size(s)) for s in range(1, top + 3)]
     last = min(top + 1, dim)  # d_k for k > last is zero or not needed
-    for d in range(last, 0, -1) if last >= 2 else ():
-        if (d + 1) * sizes[d] > HOMOLOGY_CELL_CAP:
-            raise CapExceeded(
-                f"homology cell budget exceeded: d_{d} has {(d + 1) * sizes[d]} nonzeros "
-                f"({sizes[d]} columns of {d + 1}) > cap {HOMOLOGY_CELL_CAP}"
-            )
 
     ranks = [0, len(cx.vertices) - _components(cx)] + [0] * (top + 1)
     diags = [[] for _ in ranks]

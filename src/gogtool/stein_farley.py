@@ -58,7 +58,13 @@ from .patches import (
     caret_table,
     enumerate_admissible,
 )
-from .simplicial import SimplicialComplex, homology, lemma_connectivity_bound, maximal_faces
+from .simplicial import (
+    SimplicialComplex,
+    check_homology_cells,
+    homology,
+    lemma_connectivity_bound,
+    maximal_faces,
+)
 
 DEFAULT_LINK_VERTEX_CAP = 100_000
 # links with more vertices skip the connectivity-lemma check
@@ -235,34 +241,67 @@ def _link(x: CountVector, table: CaretTable, allowed: Collection[tuple[int, ...]
     return DescendingLink(x, tuple(vertices), tuple(higher))
 
 
+def link_f_vector(
+    x: CountVector, table: CaretTable, allowed: Collection[tuple[int, ...]]
+) -> tuple[int, ...]:
+    """The f-vector of ``_link(x, table, allowed)``, counted without
+    building it.
+
+    A face of mu is a set of carets, mu_j of type j, on pairwise disjoint
+    leaf-slot subsets, a type-j caret taking M_ij slots of each type i.
+    With u_i = sum_j M_ij mu_j slots of type i used, the carets taken in a
+    fixed order fill those slots in L_i! / (L_i - u_i)! ordered ways, each
+    caret's slots unordered within it; carets of one type are distinct (a
+    caret holds at least one slot: no column of M is zero), so unordering
+    them divides by mu_j!:
+
+        prod_i L_i! / ((L_i - u_i)! prod_j (M_ij!)^mu_j) / prod_j mu_j!
+
+    faces, and none when some u_i > L_i.  Dimension d sums it over the mu
+    of size d + 1 in ``allowed``.
+    """
+    k = len(x.leaves)
+    f = [0] * max(max(map(sum, allowed), default=0), 1)
+    for mu in allowed:
+        faces = math.prod(
+            math.perm(n, sum(table.M[i][j] * mu[j] for j in range(k))) for i, n in enumerate(x.leaves)
+        )
+        ways = math.prod(
+            math.factorial(table.M[i][j]) ** mu[j] for i in range(k) for j in range(k)
+        ) * math.prod(map(math.factorial, mu))
+        f[sum(mu) - 1] += faces // ways
+    return tuple(f)
+
+
 def descending_link(
     x: CountVector,
     table: CaretTable,
     base: CountVector,
     max_vertices: int = DEFAULT_LINK_VERTEX_CAP,
+    homology_dim: int | None = None,
 ) -> DescendingLink:
     """Fast-path construction of the descending link from count data only.
 
     The allowed caret-type multisets are read off the histories of x by
-    ``allowed_multisets``, one ``realizable`` search per link; the vertex
-    count and ``_link`` both read that set.  Only claimed for systems with
-    the viral expansion property; the oracle below validates the
-    reduction at desk scale.
+    ``allowed_multisets``, one ``realizable`` search per link; the size
+    check and ``_link`` both read that set.  Before anything is built, the
+    f-vector that ``link_f_vector`` predicts is checked against
+    ``max_vertices`` and then, when ``homology_dim`` is given, against the
+    cell cap of ``homology`` up to that dimension.  Only claimed for
+    systems with the viral expansion property; the oracle below validates
+    the reduction at desk scale.
     """
     if not is_viral(table, base):
         raise ValidationError(
             "the fast-path descending link needs the viral expansion property; "
             "run `gogtool viral` on this system"
         )
-    k = len(table.I)
     allowed = allowed_multisets(x, table, base)
-    total = sum(
-        math.prod(math.comb(x.leaves[i], table.M[i][j]) for i in range(k))
-        for j in range(k)
-        if tuple(int(t == j) for t in range(k)) in allowed
-    )
-    if total > max_vertices:
+    f_vector = link_f_vector(x, table, allowed)
+    if f_vector[0] > max_vertices:
         raise CapExceeded(f"descending link would have more than {max_vertices} vertices")
+    if homology_dim is not None:
+        check_homology_cells(f_vector, homology_dim)
     return _link(x, table, allowed)
 
 
@@ -272,17 +311,25 @@ def descending_link(
 def _removable_carets(t: TreePatch, t0: TreePatch) -> list[tuple]:
     """Expansion vertices of t whose grown caret is terminal in t, i.e.
     whose entire subtree is exactly the caret material.  Removing any
-    subset of them leaves an admissible tree containing t0."""
+    subset of them leaves an admissible tree containing t0.
+
+    A vertex v is removable iff its placed caret interior C lies in
+    t.interior and none of its placed leaves is interior.  If v's subtree
+    is C, both hold.  Conversely, C is prefix-closed below v and the
+    children of C's vertices outside C are exactly the placed leaves, so
+    a path from v to an interior vertex below v that is not in C passes
+    through a placed leaf, which is then interior by prefix closure.  So
+    no vertex of t's subtree at v lies outside C, and C lies in it."""
     system = t.system
+    interior = t.interior
     out = []
-    for addr in sorted(t.interior - t0.interior):
+    for addr in sorted(interior - t0.interior):
         entry = system.step_entry[addr[-1]]
         ty = system.gate_type[entry]
         if ty is None:
             continue
-        depth = len(addr)
-        below = {a for a in t.interior if a[:depth] == addr}
-        if below == system.shape(entry, addr).at(addr):
+        mat, placed = system.shape(entry, addr).place(addr)
+        if mat <= interior and all(a not in interior for a, _ in placed):
             out.append((addr, ty))
     return out
 

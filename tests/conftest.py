@@ -87,6 +87,20 @@ def oracle_caret_census(g, gs, nu):
     return expand(nu)
 
 
+def forced_completion(system, addr, entry):
+    """The caret below ``addr`` by its definition, as the stack walk that
+    grew it before shapes existed: ``addr`` and, recursively, every child
+    whose entry is not a gate."""
+    out, stack = set(), [(addr, entry)]
+    while stack:
+        a, e = stack.pop()
+        out.add(a)
+        for step, child in system.children[e].items():
+            if system.gate_type[child] is None:
+                stack.append((a + (step,), child))
+    return out
+
+
 def random_gog(rng: random.Random, max_vertices: int = 4, min_degree_two: bool = False) -> GraphOfGroups:
     """Seeded random connected multigraph with indices in 1..4."""
     n = rng.randint(1, max_vertices)

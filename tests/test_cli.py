@@ -9,7 +9,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 import gogtool as gt
-from gogtool import cli, simplicial
+from gogtool import cli, simplicial, stein_farley
 from gogtool.cli import main
 from gogtool.stein_farley import DescendingLink
 
@@ -503,6 +503,37 @@ def test_homology_cell_cap_exits_two(capsys, monkeypatch):
     assert out == ""
     assert err.count("\n") == 1 and err.startswith("cap exceeded:")
     assert "d_2 has 17325 nonzeros" in err
+
+
+def test_homology_cell_cap_refuses_before_building(capsys, monkeypatch):
+    # the height-15 link has f = (1365, 225225, 2627625): its d_2 is over
+    # the cap, which the predicted f-vector shows before any face is built
+    built = 0
+    build = stein_farley._link
+
+    def counted(*args):
+        nonlocal built
+        built += 1
+        return build(*args)
+
+    monkeypatch.setattr(stein_farley, "_link", counted)
+    code, out, err = run(capsys, "desclink", str(DATA / "amalgam33.gog"), "--height", "15")
+    assert code == 2
+    assert out == ""
+    assert err == (
+        "cap exceeded: homology cell budget exceeded: d_2 has 7882875 nonzeros "
+        "(2627625 columns of 3) > cap 4000000\n"
+    )
+    assert built == 0
+    # with both caps crossed, the vertex cap speaks
+    argv = ("desclink", str(DATA / "amalgam33.gog"), "--height", "15", "--max-link-vertices", "1000")
+    code, out, err = run(capsys, *argv)
+    assert code == 2
+    assert err == "cap exceeded: descending link would have more than 1000 vertices\n"
+    assert built == 0
+    # under the caps the link is built, once
+    code, _, _ = run(capsys, "desclink", str(DATA / "amalgam33.gog"), "--height", "9")
+    assert code == 0 and built == 1
 
 
 def test_desclink_artifacts_byte_identical(tmp_path):

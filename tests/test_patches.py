@@ -13,7 +13,7 @@ from gogtool.errors import (
 )
 from gogtool.model import Edge, GraphOfGroups, HalfEdge
 
-from conftest import DATA, System, make_system, oracle_caret_census, random_gog
+from conftest import DATA, System, forced_completion, make_system, oracle_caret_census, random_gog
 
 
 def test_caret_loop33(loop33: System):
@@ -232,10 +232,13 @@ def test_enumerate_counts(loop33: System):
     assert len(one) == 7
 
 
-def test_enumerate_matches_sequence_dedup_oracle(loop33: System):
+def test_enumerate_matches_sequence_dedup_oracle():
     # independent recount: depth-first over expansion sequences, dedup by
-    # the expanded-vertex set
+    # the expanded-vertex set, each caret grown by its definition
+    # (``forced_completion``) and each patch built by the validating
+    # constructor; on the bundled systems and 10 seeded random ones
     def all_trees(t0, budget):
+        system = t0.system
         seen = {}
 
         def rec(t, used):
@@ -246,14 +249,37 @@ def test_enumerate_matches_sequence_dedup_oracle(loop33: System):
             if len(used) == budget:
                 return
             for addr, _ in t.typed_leaves():
-                rec(gt.expand_leaf(t, addr), used | {addr})
+                grown = t.interior | forced_completion(system, addr, system.entry_of(addr))
+                rec(gt.TreePatch(system, frozenset(grown)), used | {addr})
 
         rec(t0, frozenset())
-        return set(p.nodes for p in seen.values())
+        return {p.interior: p for p in seen.values()}
 
-    for budget in (1, 2):
-        fast = gt.enumerate_admissible(loop33.g, loop33.gs, loop33.t0, budget)
-        assert {p.nodes for p in fast} == all_trees(loop33.t0, budget)
+    rng = random.Random(1717)
+    graphs = [gt.parse_gog(path.read_text()) for path in sorted(DATA.glob("*.gog"))]
+    graphs += [random_gog(rng, min_degree_two=True) for _ in range(10)]
+    sizes = []
+    for sys in map(make_system, graphs):
+        for budget in (1, 2):
+            fast = gt.enumerate_admissible(sys.g, sys.gs, sys.t0, budget)
+            slow = all_trees(sys.t0, budget)
+            assert len(fast) == len({p.interior for p in fast}) == len(slow)
+            for p in fast:
+                q = slow[p.interior]
+                assert sorted(p._leaf_list) == sorted(q._leaf_list)
+                assert p.counts() == q.counts() and p.is_admissible()
+            sizes.append(len(fast))
+    assert len(sizes) == 32 and sum(sizes) > 1500
+
+
+def test_enumeration_shares_leaf_tuples(loop33: System):
+    # each address lies below one caret root, so one placement per leaf
+    # makes one (address, entry) tuple per distinct pair
+    trees = gt.enumerate_admissible(loop33.g, loop33.gs, loop33.t0, 4)
+    objects = {id(x) for p in trees for x in p._leaf_list}
+    pairs = {x for p in trees for x in p._leaf_list}
+    assert len(objects) == len(pairs)
+    assert len(trees) == 3882
 
 
 def test_growth_budget(loop33: System, monkeypatch):
@@ -492,20 +518,6 @@ def test_derived_patches_equal_the_definition():
             assert t.is_admissible() == (None not in types)
 
 
-def forced_completion(system, addr, entry):
-    """The caret below ``addr`` by its definition, as the stack walk that
-    grew it before shapes existed: ``addr`` and, recursively, every child
-    whose entry is not a gate."""
-    out, stack = set(), [(addr, entry)]
-    while stack:
-        a, e = stack.pop()
-        out.add(a)
-        for step, child in system.children[e].items():
-            if system.gate_type[child] is None:
-                stack.append((a + (step,), child))
-    return out
-
-
 def test_shapes_match_the_stack_walk():
     """Each entry's shape, placed at a real address with that entry, has the
     walk's interior and the definition's leaves, and its delta is the count
@@ -529,9 +541,11 @@ def test_shapes_match_the_stack_walk():
         for entry, addr in first.items():
             shape = system.shape(entry, addr)
             interior = forced_completion(system, addr, entry)
-            assert shape.at(addr) == interior
+            mat, shape_leaves = shape.place(addr)
+            assert mat == interior
             leaves = patches._leaves(system, interior)
-            assert sorted((addr + a, e) for a, e in shape.leaves) == sorted(leaves)
+            assert sorted(shape_leaves) == sorted(leaves)
+            assert shape_leaves == [(addr + a, e) for a, e in shape.leaves]
             types = [system.gate_type[e] for _, e in leaves]
             own = system.gate_type[entry]
             census = tuple(types.count(i) - (i == own) for i in range(gs.k))

@@ -1,7 +1,6 @@
 import hashlib
 import itertools
 import json
-import math
 import random
 from collections import Counter
 from types import SimpleNamespace
@@ -17,16 +16,18 @@ from gogtool.stein_farley import (
     LinkVertex,
     _link,
     _planted_same_type_face,
+    _removable_carets,
     descending_link,
     is_viral,
     link_connectivity_report,
     link_difference,
+    link_f_vector,
     oracle_descending_link,
     sf_vertices_at_height,
     sf_vertices_at_height_enumerated,
 )
 
-from conftest import System, make_system, random_gog
+from conftest import System, forced_completion, make_system, random_gog
 
 
 def xv(interior, leaves):
@@ -220,6 +221,7 @@ def check_link(M, leaves, allowed, brute) -> int:
     """Compare ``_link`` on the downward-closed set ``allowed`` with the
     definition; return its face count."""
     link = _link(xv(0, leaves), SimpleNamespace(M=M), allowed)
+    assert link.f_vector == link_f_vector(xv(0, leaves), SimpleNamespace(M=M), allowed)
     assert list(link.vertices) == sorted(link.vertices)
     assert len(link.higher_faces) == max(map(sum, allowed), default=1) - 1
     index = {v: i for i, v in enumerate(link.vertices)}
@@ -326,6 +328,28 @@ def test_link_maximal_faces_match_complex(loop33: System, amalgam33: System, mon
     assert Counter(map(len, built[-1].maximal_faces)) == {3: 5775}  # amalgam h12
 
 
+def test_removable_carets_match_subtree_definition(loop33: System, amalgam33: System, bs23_aug: System):
+    # an expansion vertex is removable when the interior below it is
+    # exactly its caret, read here off the whole interior
+    kept = nested = 0
+    for sys in (loop33, amalgam33, bs23_aug):
+        system, t0 = sys.t0.system, sys.t0
+        for t in gt.enumerate_admissible(sys.g, sys.gs, t0, 3):
+            expected = []
+            for addr in sorted(t.interior - t0.interior):
+                entry = system.entry_of(addr)
+                if system.gate_type[entry] is None:
+                    continue
+                below = {a for a in t.interior if a[: len(addr)] == addr}
+                if below == forced_completion(system, addr, entry):
+                    expected.append((addr, system.gate_type[entry]))
+                else:
+                    nested += 1
+            assert _removable_carets(t, t0) == expected
+            kept += len(expected)
+    assert kept > 10_000 and nested > 1_000
+
+
 def lowest_nonempty_link(sys: System, max_vertices: int, heights: int):
     """The fast-path link of the least count class, within ``heights`` of
     the base, whose link has a vertex; None if there is none."""
@@ -397,21 +421,6 @@ def test_fast_link_edges_match_oracle_on_random_systems():
     assert f_vectors == {(1470, 73500)}  # edges are compared, not only vertices
 
 
-def closed_form(mu, M, leaves) -> int:
-    """prod_i L_i! / ((L_i - u_i)! prod_j (M_ij!)^mu_j) / prod_j mu_j!,
-    with u_i = sum_j mu_j M_ij."""
-    k = len(leaves)
-    num, den = 1, 1
-    for i in range(k):
-        u = sum(mu[j] * M[i][j] for j in range(k))
-        num *= math.factorial(leaves[i])
-        den *= math.factorial(leaves[i] - u)
-        den *= math.prod(math.factorial(M[i][j]) ** mu[j] for j in range(k))
-    den *= math.prod(math.factorial(n) for n in mu)
-    assert num % den == 0
-    return num // den
-
-
 def disjoint_subsets_complex(n: int, size: int):
     """The size-subsets of range(n) in lexicographic order, and the sorted
     layers of the complex whose faces are pairwise disjoint ones."""
@@ -472,12 +481,15 @@ def test_face_counts_match_closed_form(loop33: System, amalgam33: System):
         (x,) = sf_vertices_at_height(h, sys.table, sys.base)
         link = descending_link(x, sys.table, sys.base)
         assert link.f_vector == f_vector
+        allowed = count_algebra.allowed_multisets(x, sys.table, sys.base)
+        assert link_f_vector(x, sys.table, allowed) == f_vector
         k = len(x.leaves)
         types = [v.caret_type for v in link.vertices]
         for faces in [[(i,) for i in range(len(types))], *link.higher_faces]:
             by_mu = Counter(tuple(sum(types[i] == j for i in f) for j in range(k)) for f in faces)
             for mu, n in by_mu.items():
-                assert n == closed_form(mu, sys.table.M, x.leaves), (h, mu)
+                # one multiset's faces: the count in its own dimension
+                assert n == link_f_vector(x, sys.table, [mu])[sum(mu) - 1], (h, mu)
 
 
 def test_planted_face_read_from_link(loop33: System, amalgam33: System, bs23_aug: System):
