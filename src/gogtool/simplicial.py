@@ -12,9 +12,15 @@ are taken as pivots first, shortest row first; the faces that were such
 pivot rows of d_(k+1) clear their columns from d_k; and the dense Smith
 normal form runs only on the block left without unit entries.
 
-The checker's costly hypothesis, m-flag with respect to sigma, fails
-exactly when some minimal non-face B with 3 <= |B| <= m+1 meets sigma;
-then (B - sigma, B & sigma) is a violating pair.
+The connectivity lemma checker reads a per-call index of the 1-skeleton:
+the vertices ranked by sorted label, and each vertex's neighbour bitmask.
+Its costly hypothesis, m-flag with respect to sigma, fails exactly when
+some minimal non-face B with 3 <= |B| <= m+1 meets sigma; then
+(B - sigma, B & sigma) is a violating pair.  B extends a face F by a
+vertex above F[-1], and every pair in B is an edge, so the vertices tried
+are the common neighbours of F, read off the masks.  The joinability
+hypothesis draws pseudofaces from sigma's vertices adjacent to v, and
+tests only the faces that v adds.
 
 Connectivity is verified homologically plus path-connectedness.  That is
 a necessary condition for topological m-connectedness, not a proof of
@@ -23,6 +29,7 @@ it; every report carries this caveat.
 
 from __future__ import annotations
 
+import bisect
 import heapq
 import itertools
 import math
@@ -157,6 +164,19 @@ class FlagCheck:
     counterexample: tuple[tuple, tuple] | None = None
 
 
+def _neighbour_masks(cx: SimplicialComplex) -> tuple[list, dict, dict]:
+    """Per-call index of the 1-skeleton, built in O(|V| + |E|): the
+    vertices sorted by label, each vertex's bit (ranked in that order) and
+    each vertex's neighbour bitmask.  Nothing is stored on the complex."""
+    order = sorted(cx.vertices)
+    bit = {v: 1 << i for i, v in enumerate(order)}
+    nbr = dict.fromkeys(order, 0)
+    for a, b in cx.faces_of_size(2):
+        nbr[a] |= bit[b]
+        nbr[b] |= bit[a]
+    return order, bit, nbr
+
+
 def is_m_flag_wrt(cx: SimplicialComplex, sigma, m: int) -> FlagCheck:
     """Decide the flag condition for sigma by minimal non-faces.
 
@@ -171,24 +191,47 @@ def is_m_flag_wrt(cx: SimplicialComplex, sigma, m: int) -> FlagCheck:
       (B is not inside sigma), so faces, as is every cross pair, while
       rho union tau = B is not.
 
-    B is searched by size, then sorted vertex tuple, so the counterexample
-    (sorted(B - sigma), sorted(B & sigma)) is the same in every run.
+    The search itself is ``_first_violation``.
     """
     sig = set(sigma)
     if not is_m_pseudosimplex(cx, sig, m):
         raise ValidationError("sigma is not an m-pseudosimplex")
-    position = {v: i for i, v in enumerate(cx.vertices)}
+    return _first_violation(cx, sig, m, *_neighbour_masks(cx))
+
+
+def _first_violation(cx: SimplicialComplex, sig, m: int, order, bit, nbr) -> FlagCheck:
+    """The flag check of ``is_m_flag_wrt`` for an m-pseudosimplex sigma,
+    which is not checked again, over the index of ``_neighbour_masks``.
+
+    B is searched by size, then sorted vertex tuple: each face F of size
+    |B| - 1, in sorted order, is extended by each vertex v above F[-1] in
+    label order.  So the counterexample (sorted(B - sigma), sorted(B &
+    sigma)) is the same in every run, whatever the order of
+    ``cx.vertices``.  Only the v set in nbr[u] for every u in F (and, when
+    F misses sigma, in sigma) are tried: for |B| >= 3, a pair {u, v} of B
+    with u in F that is no edge lies in the facet B - {w} for some other
+    w in F, which is then no face, so B is no minimal non-face.  The
+    candidates are walked upward, so the first B found is the same.
+    """
+    if m < 2:
+        return FlagCheck(True)  # no size 3 <= |B| <= m + 1
+    sig_mask = 0
+    for v in sig:
+        sig_mask |= bit[v]
     for size in range(3, m + 2):
         smaller = cx.faces_of_size(size - 1)
-        # a candidate B is a face of size-1 extended by a larger vertex
+        larger = cx.faces_of_size(size)
         for face in sorted(smaller):
-            for v in cx.vertices[position[face[-1]] + 1:]:
-                b = face + (v,)
-                if (
-                    not sig.isdisjoint(b)
-                    and all(b[:p] + b[p + 1:] in smaller for p in range(size - 1))
-                    and b not in cx.faces_of_size(size)
-                ):
+            common = -(bit[face[-1]] << 1)  # every bit above face[-1]'s
+            for u in face:
+                common &= nbr[u]
+            if sig.isdisjoint(face):
+                common &= sig_mask
+            while common:
+                low = common & -common
+                common ^= low
+                b = face + (order[low.bit_length() - 1],)
+                if b not in larger and all(b[:p] + b[p + 1:] in smaller for p in range(size - 1)):
                     return FlagCheck(
                         False,
                         (tuple(u for u in b if u not in sig), tuple(u for u in b if u in sig)),
@@ -213,13 +256,40 @@ class ConnectivityBound:
     note: str = NOTE_HOMOLOGY_PROXY
 
 
+def _joins(cx: SimplicialComplex, v, tau: tuple, m: int) -> bool:
+    """``m_joinable(cx, (v,), tau, m)`` for a sorted tau inside an
+    m-pseudosimplex sigma, every vertex of tau v or a neighbour of v.
+
+    {v} union tau is an m-pseudosimplex iff its subsets of at most m+1
+    vertices are faces.  When v is in tau the union is tau, a subset of
+    sigma, so it is one.  Otherwise a subset that misses v lies in sigma,
+    a face; {v} is a vertex and {v, w} an edge for w in tau.  So only
+    {v} union c with c a subset of tau and 2 <= |c| <= min(|tau|, m) is
+    left to test.
+    """
+    if v in tau:
+        return True
+    for size in range(2, min(len(tau), m) + 1):
+        faces = cx.faces_of_size(size + 1)
+        for c in itertools.combinations(tau, size):
+            i = bisect.bisect(c, v)
+            if c[:i] + (v,) + c[i:] not in faces:
+                return False
+    return True
+
+
 def lemma_connectivity_bound(cx: SimplicialComplex, sigma, m: int, k: int) -> ConnectivityBound:
     """Verify the hypotheses of the pseudosimplex connectivity lemma and
     return the implied connectivity bound, or the failed hypothesis.
 
     Hypotheses: sigma is an m-pseudosimplex of dimension l, the complex is
     m-flag with respect to sigma, and every vertex is m-joinable to some
-    (l - k)-pseudoface of sigma.
+    (l - k)-pseudoface of sigma.  sigma is checked once; the flag search
+    and the joinability loop read one ``_neighbour_masks`` index.  The
+    (l - k)-pseudofaces tried for a vertex v are drawn from the vertices
+    of sigma that are v or its neighbours, in sorted order, as a pseudoface
+    holding any other vertex w of sigma is not joinable to v ({v, w} is
+    no face).
     """
     if k < 1:
         raise ValidationError("k must be >= 1")
@@ -230,11 +300,12 @@ def lemma_connectivity_bound(cx: SimplicialComplex, sigma, m: int, k: int) -> Co
     def failed(hypothesis: str) -> ConnectivityBound:
         return ConnectivityBound(None, hypothesis, sig, m, k)
 
-    if not set(sig) <= set(cx.vertices):
+    order, bit, nbr = _neighbour_masks(cx)
+    if not all(v in bit for v in sig):
         return failed("sigma contains unknown vertices")
     if not is_m_pseudosimplex(cx, sig, m):
         return failed("sigma is not an m-pseudosimplex")
-    flag = is_m_flag_wrt(cx, sig, m)
+    flag = _first_violation(cx, set(sig), m, order, bit, nbr)
     if not flag.holds:
         rho, tau = flag.counterexample
         return failed(f"complex is not m-flag with respect to sigma: rho={rho}, tau={tau}")
@@ -242,17 +313,15 @@ def lemma_connectivity_bound(cx: SimplicialComplex, sigma, m: int, k: int) -> Co
     size = max(l - k + 1, 0)
     if size > 0:
         for v in cx.vertices:
-            cands = [w for w in sig if cx.is_face({v, w})]
+            near = nbr[v] | bit[v]
+            cands = [w for w in sig if near & bit[w]]
             if len(cands) < size:
                 return failed(f"vertex {v!r} is not joinable to enough of sigma")
             if math.comb(len(cands), size) > PSEUDOFACE_SEARCH_CAP:
                 return failed(
                     f"pseudoface search for vertex {v!r} exceeds cap {PSEUDOFACE_SEARCH_CAP}"
                 )
-            if not any(
-                m_joinable(cx, (v,), tau, m)
-                for tau in itertools.combinations(cands, size)
-            ):
+            if not any(_joins(cx, v, tau, m) for tau in itertools.combinations(cands, size)):
                 return failed(f"vertex {v!r} is not m-joinable to any (l-k)-pseudoface of sigma")
     return ConnectivityBound(min(l // k - 1, m - 1), None, sig, m, k)
 
@@ -463,7 +532,8 @@ def check_homology_cells(f_vector: Sequence[int], max_dim: int | None = None) ->
     f-vector, before any matrix is built, when a d_k it would build has
     more than ``HOMOLOGY_CELL_CAP`` nonzeros: (k+1) f_k, for k from the
     top d_k needed (d_(max_dim+1), or the top dimension) down to 2, and
-    k = 1 when d_2 is built.  The cap is read on every call."""
+    k = 1 when d_2 is built.  The cap is read on every call, and the
+    refusal names the whole f-vector."""
     dim = max((d for d, n in enumerate(f_vector) if n), default=-1)
     top = dim if max_dim is None else min(max_dim, dim)
     last = min(top + 1, dim)  # d_k for k > last is zero or not needed
@@ -471,7 +541,8 @@ def check_homology_cells(f_vector: Sequence[int], max_dim: int | None = None) ->
         if (d + 1) * f_vector[d] > HOMOLOGY_CELL_CAP:
             raise CapExceeded(
                 f"homology cell budget exceeded: d_{d} has {(d + 1) * f_vector[d]} nonzeros "
-                f"({f_vector[d]} columns of {d + 1}) > cap {HOMOLOGY_CELL_CAP}"
+                f"({f_vector[d]} columns of {d + 1}) > cap {HOMOLOGY_CELL_CAP}; "
+                f"f-vector {tuple(f_vector)}"
             )
 
 

@@ -287,9 +287,9 @@ def descending_link(
     check and ``_link`` both read that set.  Before anything is built, the
     f-vector that ``link_f_vector`` predicts is checked against
     ``max_vertices`` and then, when ``homology_dim`` is given, against the
-    cell cap of ``homology`` up to that dimension.  Only claimed for
-    systems with the viral expansion property; the oracle below validates
-    the reduction at desk scale.
+    cell cap of ``homology`` up to that dimension; either refusal names
+    that f-vector.  Only claimed for systems with the viral expansion
+    property; the oracle below validates the reduction at desk scale.
     """
     if not is_viral(table, base):
         raise ValidationError(
@@ -299,7 +299,10 @@ def descending_link(
     allowed = allowed_multisets(x, table, base)
     f_vector = link_f_vector(x, table, allowed)
     if f_vector[0] > max_vertices:
-        raise CapExceeded(f"descending link would have more than {max_vertices} vertices")
+        raise CapExceeded(
+            f"descending link would have more than {max_vertices} vertices; "
+            f"predicted f-vector {f_vector}"
+        )
     if homology_dim is not None:
         check_homology_cells(f_vector, homology_dim)
     return _link(x, table, allowed)

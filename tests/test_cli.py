@@ -522,14 +522,17 @@ def test_homology_cell_cap_refuses_before_building(capsys, monkeypatch):
     assert out == ""
     assert err == (
         "cap exceeded: homology cell budget exceeded: d_2 has 7882875 nonzeros "
-        "(2627625 columns of 3) > cap 4000000\n"
+        "(2627625 columns of 3) > cap 4000000; f-vector (1365, 225225, 2627625)\n"
     )
     assert built == 0
     # with both caps crossed, the vertex cap speaks
     argv = ("desclink", str(DATA / "amalgam33.gog"), "--height", "15", "--max-link-vertices", "1000")
     code, out, err = run(capsys, *argv)
     assert code == 2
-    assert err == "cap exceeded: descending link would have more than 1000 vertices\n"
+    assert err == (
+        "cap exceeded: descending link would have more than 1000 vertices; "
+        "predicted f-vector (1365, 225225, 2627625)\n"
+    )
     assert built == 0
     # under the caps the link is built, once
     code, _, _ = run(capsys, "desclink", str(DATA / "amalgam33.gog"), "--height", "9")

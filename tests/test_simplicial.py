@@ -1,5 +1,7 @@
+import functools
 import itertools
 import json
+import math
 import os
 import random
 import subprocess
@@ -448,6 +450,18 @@ def test_flag_check_counterexample():
     assert set(rho) | set(tau) == {0, 1, 2}
 
 
+def test_flag_check_ignores_vertex_order():
+    # the hollow triangle with its vertices listed in reverse: B = (0, 1, 2)
+    # is still found, as sorted labels rank the vertices
+    cx = SimplicialComplex(
+        (2, 1, 0), (frozenset({(0,), (1,), (2,)}), frozenset({(0, 1), (0, 2), (1, 2)}))
+    )
+    assert is_m_flag_wrt(cx, (0,), 2) == FlagCheck(False, ((1, 2), (0,)))
+    assert lemma_connectivity_bound(cx, (0,), 2, 1).failed == (
+        "complex is not m-flag with respect to sigma: rho=(1, 2), tau=(0,)"
+    )
+
+
 def _pseudosimplices_up_to(cx: SimplicialComplex, m: int, max_size: int) -> list[tuple]:
     out = []
     for size in range(1, max_size + 1):
@@ -457,8 +471,10 @@ def _pseudosimplices_up_to(cx: SimplicialComplex, m: int, max_size: int) -> list
     return out
 
 
-def exhaustive_flag_check(cx: SimplicialComplex, sigma, m: int) -> FlagCheck:
-    """Definition-level oracle for ``is_m_flag_wrt``.
+def exhaustive_flag_check(cx: SimplicialComplex, sigma, m: int, rhos: list[tuple]) -> FlagCheck:
+    """Definition-level oracle for ``is_m_flag_wrt``, given ``rhos``, the
+    m-pseudosimplices ``_pseudosimplices_up_to(cx, m, m + 2)``, which do
+    not depend on sigma.
 
     Quantifying over rho of size <= m+2 and pseudofaces tau of size <= m+1
     is complete: a violation is a missing face B of size <= m+1 inside
@@ -476,7 +492,6 @@ def exhaustive_flag_check(cx: SimplicialComplex, sigma, m: int) -> FlagCheck:
             return (a,) in single_faces
         return tuple(sorted((a, b))) in pair_faces
 
-    rhos = _pseudosimplices_up_to(cx, m, m + 2)
     taus = [
         c
         for size in range(1, min(len(sig), m + 1) + 1)
@@ -499,8 +514,9 @@ def _relabelled(cx: SimplicialComplex) -> SimplicialComplex:
 
 
 def _flag_cases():
-    """Seeded (complex, sigma, m): the criterion-06 mix, denser complexes,
-    and heavier triangle drops, each also with str labels."""
+    """Seeded (complex, sigmas, m): the criterion-06 mix, denser complexes,
+    and heavier triangle drops, each also with str labels; the sigmas are
+    those that are m-pseudosimplices."""
     for seed in range(60):
         n = 5 + seed % 8
         density = (0.35, 0.5, 0.65, 0.8)[seed % 4]
@@ -509,27 +525,128 @@ def _flag_cases():
         cx = random_complex(seed, n, density, ground=ground, drop=drop)
         rng = random.Random(seed)
         sigmas = [tuple(range(ground)), tuple(sorted(rng.sample(range(n), 2)))]
-        for m in range(5):
-            for sigma in sigmas:
-                if is_m_pseudosimplex(cx, sigma, m):
-                    yield cx, sigma, m
-                    yield _relabelled(cx), tuple(f"v{v}" for v in sigma), m
+        for c, label in ((cx, int), (_relabelled(cx), "v{}".format)):
+            for m in range(5):
+                kept = [tuple(map(label, s)) for s in sigmas if is_m_pseudosimplex(cx, s, m)]
+                if kept:
+                    yield c, kept, m
 
 
 def test_flag_check_matches_exhaustive_oracle():
     violations = 0
-    for cx, sigma, m in _flag_cases():
-        fast = is_m_flag_wrt(cx, sigma, m)
-        assert fast.holds == exhaustive_flag_check(cx, sigma, m).holds, (cx, sigma, m)
-        if fast.holds:
-            continue
-        violations += 1
-        rho, tau = fast.counterexample
-        assert is_m_pseudosimplex(cx, rho, m)
-        assert tau and set(tau) <= set(sigma)
-        assert all(cx.is_face({a, b}) for a in rho for b in tau)
-        assert not m_joinable(cx, rho, tau, m)
+    for cx, sigmas, m in _flag_cases():
+        rhos = _pseudosimplices_up_to(cx, m, m + 2)
+        for sigma in sigmas:
+            fast = is_m_flag_wrt(cx, sigma, m)
+            assert fast.holds == exhaustive_flag_check(cx, sigma, m, rhos).holds, (cx, sigma, m)
+            if fast.holds:
+                continue
+            violations += 1
+            rho, tau = fast.counterexample
+            assert is_m_pseudosimplex(cx, rho, m)
+            assert tau and set(tau) <= set(sigma)
+            assert all(cx.is_face({a, b}) for a in rho for b in tau)
+            assert not m_joinable(cx, rho, tau, m)
     assert violations >= 50
+
+
+@functools.cache
+def reference_flag_check(cx: SimplicialComplex, sigma: tuple, m: int) -> FlagCheck:
+    """``is_m_flag_wrt`` with no pruning: every B of 3..m+1 vertices, by
+    size and then in lexicographic order of the sorted labels; the first
+    minimal non-face that meets sigma gives the counterexample.  Cached,
+    as the reference lemma asks it once for each k."""
+    sig = set(sigma)
+    if not is_m_pseudosimplex(cx, sig, m):
+        raise ValidationError("sigma is not an m-pseudosimplex")
+    for size in range(3, m + 2):
+        for b in itertools.combinations(sorted(cx.vertices), size):
+            # every proper subset a face: an (|B| - 2)-pseudosimplex
+            if (
+                not sig.isdisjoint(b)
+                and b not in cx.faces_of_size(size)
+                and is_m_pseudosimplex(cx, b, size - 2)
+            ):
+                return FlagCheck(
+                    False,
+                    (tuple(u for u in b if u not in sig), tuple(u for u in b if u in sig)),
+                )
+    return FlagCheck(True)
+
+
+def reference_lemma_bound(cx: SimplicialComplex, sigma, m: int, k: int) -> tuple:
+    """``lemma_connectivity_bound`` as (bound, failed, sigma), from the
+    definitions: ``is_m_pseudosimplex``, ``reference_flag_check`` and
+    ``m_joinable`` over every (l-k)-pseudoface drawn from the vertices of
+    sigma that are v or its neighbours."""
+    sig = tuple(sorted(set(sigma)))
+    if not set(sig) <= set(cx.vertices):
+        return None, "sigma contains unknown vertices", sig
+    if not is_m_pseudosimplex(cx, sig, m):
+        return None, "sigma is not an m-pseudosimplex", sig
+    flag = reference_flag_check(cx, sig, m)
+    if not flag.holds:
+        rho, tau = flag.counterexample
+        return None, f"complex is not m-flag with respect to sigma: rho={rho}, tau={tau}", sig
+    l = len(sig) - 1
+    size = max(l - k + 1, 0)
+    if size > 0:
+        for v in cx.vertices:
+            cands = [w for w in sig if cx.is_face({v, w})]
+            if len(cands) < size:
+                return None, f"vertex {v!r} is not joinable to enough of sigma", sig
+            if math.comb(len(cands), size) > simplicial.PSEUDOFACE_SEARCH_CAP:
+                return None, (
+                    f"pseudoface search for vertex {v!r} exceeds cap "
+                    f"{simplicial.PSEUDOFACE_SEARCH_CAP}"
+                ), sig
+            if not any(
+                m_joinable(cx, (v,), tau, m) for tau in itertools.combinations(cands, size)
+            ):
+                return None, (
+                    f"vertex {v!r} is not m-joinable to any (l-k)-pseudoface of sigma"
+                ), sig
+    return min(l // k - 1, m - 1), None, sig
+
+
+def _lemma_cases():
+    """Seeded (complex, sigmas): the criterion-06 mix, each also with str
+    labels and with its ``vertices`` tuple shuffled; sigma is the ground,
+    random pairs and triples, and an unknown vertex."""
+    for seed in range(24):
+        n = 6 + seed % 7
+        s = 3 + seed % 3
+        cx = random_complex(
+            seed, n, (0.35, 0.5, 0.65)[seed % 3], ground=s, drop=(0.0, 0.15)[seed % 2]
+        )
+        rng = random.Random(seed)
+        sigmas = [tuple(range(s))] + [tuple(rng.sample(range(n), size)) for size in (2, 2, 3, 3)]
+        for c, label in ((cx, int), (_relabelled(cx), "v{}".format)):
+            shuffled = SimplicialComplex(tuple(rng.sample(c.vertices, n)), c.faces)
+            for variant in (c, shuffled):
+                yield variant, [tuple(map(label, sigma)) for sigma in sigmas] + [(label(n),)]
+
+
+def test_lemma_checker_matches_reference():
+    kinds = ("bound", "sigma contains", "sigma is not", "complex is not", "vertex")
+    outcomes = set()
+    for cx, sigmas in _lemma_cases():
+        for sigma in sigmas:
+            for m in range(5):
+                for k in (1, 2, 3):
+                    cb = lemma_connectivity_bound(cx, sigma, m, k)
+                    want = reference_lemma_bound(cx, sigma, m, k)
+                    assert (cb.bound, cb.failed, cb.sigma) == want, (cx, sigma, m, k)
+                    outcomes.add(next(w for w in kinds if (want[1] or "bound").startswith(w)))
+                try:
+                    want = reference_flag_check(cx, sigma, m)
+                except ValidationError:
+                    with pytest.raises(ValidationError):
+                        is_m_flag_wrt(cx, sigma, m)
+                    continue
+                assert is_m_flag_wrt(cx, sigma, m) == want, (cx, sigma, m)
+    # every hypothesis fails somewhere, and some bounds verify
+    assert outcomes == set(kinds)
 
 
 def test_flag_counterexample_independent_of_hash_seed(tmp_path):
