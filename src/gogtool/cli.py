@@ -14,7 +14,7 @@ import sys
 from json.encoder import encode_basestring_ascii
 from pathlib import Path
 
-from .count_algebra import DEFAULT_DICKSON_BOX, thresholds as compute_thresholds
+from .count_algebra import DEFAULT_DICKSON_BOX, CountVector, thresholds as compute_thresholds
 from .errors import (
     CapExceeded,
     GogError,
@@ -82,6 +82,8 @@ def _dumps(obj) -> str:
       then every row is a non-empty list of ints, and two replaces put
       each number and each row on its own line as the stdlib does.
       Without the ``[]`` test ``[[1],[],[2]]`` would pass.
+    - A list that holds one object several times renders it once: the
+      same object at the same level has the same text.
     - Anything else (floats, bools, None, empty containers, non-str keys)
       is the stdlib's own text with each newline indented to the
       current level, which is exact because JSON text holds no raw
@@ -122,8 +124,10 @@ def _render(obj, nl: str) -> str:
                     "]," + num + "[", inner + "]," + inner + "[" + num
                 )
                 return "[" + inner + "[" + num + rows + inner + "]" + nl + "]"
-        items = (_render(v, inner) for v in obj)
-        return "[" + inner + ("," + inner).join(items) + nl + "]"
+        # one render per distinct item: the list keeps its items alive, so ids do not repeat
+        distinct = {id(v): v for v in obj}
+        text = {i: _render(v, inner) for i, v in distinct.items()}
+        return "[" + inner + ("," + inner).join([text[id(v)] for v in obj]) + nl + "]"
     return json.dumps(obj, indent=2, sort_keys=True).replace("\n", nl)
 
 
@@ -269,11 +273,14 @@ def _cmd_enumerate(args) -> tuple[int, dict[str, str]]:
         doc.graph, gs, t0, args.max_expansions, max_trees=args.max_trees
     )
     by_height: dict[int, int] = {}
+    classes: dict[CountVector, dict] = {}  # one row object per class, rendered once
     rows = []
     for p in patches:
         c = p.counts()
+        if c not in classes:
+            classes[c] = {"interior": c.interior, "leaves": list(c.leaves), "height": c.height}
         by_height[c.height] = by_height.get(c.height, 0) + 1
-        rows.append({"interior": c.interior, "leaves": list(c.leaves), "height": c.height})
+        rows.append(classes[c])
     report = {
         "total": len(patches),
         "by_height": {str(h): n for h, n in sorted(by_height.items())},

@@ -14,22 +14,23 @@ the order, so sorted addresses keep the order of the pair form.
 Every vertex of a patch is either a leaf or has all its children, so a
 patch is fixed by its interior: any prefix-closed set of addresses whose
 steps are child steps of their parents.  It stores that set, its leaf
-list, its admissibility and its counts.  The nodes are the interior plus
-the children of interior vertices (the bare root when the interior is
-empty).  A vertex is interior in a union or intersection of two patches
-exactly when it is interior in one or in both of them, so unions,
-intersections, containment and deduplication are plain set operations on
-interior sets, which are several times smaller than node sets.
+addresses, its admissibility and its counts.  The nodes are the interior
+plus the children of interior vertices (the bare root, the one address
+with no last step, when the interior is empty).  A vertex's entry, and
+so its gate type, is read off its address's last step.  A vertex is
+interior in a union or intersection of two patches exactly when it is
+interior in one or in both of them, so unions, intersections,
+containment and deduplication are plain set operations on interior
+sets, which are several times smaller than node sets.
 
 Growth below a vertex depends only on the vertex's entry, so the tree
 system keeps one caret shape per entry, built on first use: the forced
-completion below a vertex with that entry, as addresses relative to it,
-its leaves with their entries, and the count delta it adds.  A vertex's
-entry is a function of its address (of its last step), so the shape
-placed at an address (``CaretShape.place``) is a value of the address
-alone.  An enumeration places each leaf's caret once, and every patch
-growing that leaf shares the placed leaf tuples: growth is one copy of
-the parent's leaf list plus an O(k) count update.
+completion below a vertex with that entry and its leaves, as addresses
+relative to it, and the count delta it adds.  So the shape placed at an
+address (``CaretShape.place``) is a value of the address alone.  An
+enumeration places each leaf's caret once, and every patch growing that
+leaf shares the placed leaf addresses: growth is one copy of the
+parent's leaf list plus an O(k) count update.
 ``TreePatch(system, interior)`` validates its interior and walks it for
 the leaves.  Patches grown or combined from other patches (``_grow``,
 ``_combine``) take their interior, leaves and admissibility from their
@@ -61,7 +62,6 @@ from .model import GraphOfGroups, HalfEdge
 
 Step = int
 Address = tuple[Step, ...]
-Leaf = tuple[Address, int]
 
 NODE_BUDGET = 1_000_000
 DEFAULT_TREE_BUDGET = 200_000
@@ -78,12 +78,13 @@ class TreeSystem:
     sorted half-edges, then None for the root), ``steps`` (the sorted
     (half-edge, lift) pairs), ``children[entry]`` (the child steps of a
     vertex with that entry, each mapped to the child's entry),
-    ``gate_type[entry]`` (None for a non-gate) and ``step_entry[step]``;
-    ``ungated``, the set of entries with no gate type, is read off
-    ``gate_type``.  Step numbers depend on the graph alone.  The caret
-    shape of each entry (``shape``) is filled one entry at a time, on
-    first use, so a shape over the node budget raises only where it is
-    grown.
+    ``gate_type[entry]`` (None for a non-gate) and ``step_entry[step]``.
+    Two more are read off them for leaf addresses: ``step_type[step]``,
+    the gate type of the vertex the step enters, and ``ungated_steps``,
+    the steps whose child has no gate type.  Step numbers depend on the
+    graph alone.  The caret shape of each entry (``shape``) is filled one
+    entry at a time, on first use, so a shape over the node budget raises
+    only where it is grown.
     """
 
     graph: GraphOfGroups
@@ -120,13 +121,16 @@ class TreeSystem:
         )
         # the dataclass is frozen, so the tables go straight into __dict__
         gate_type = tuple(self.gates.type_index(e) if e in self.gates else None for e in entries)
+        step_entry = tuple(entry_no[h.opposite()] for h, _ in steps)
+        step_type = tuple(gate_type[e] for e in step_entry)
         vars(self).update(
             entries=entries,
             steps=steps,
             children=children,
             gate_type=gate_type,
-            ungated=frozenset(n for n, ty in enumerate(gate_type) if ty is None),
-            step_entry=tuple(entry_no[h.opposite()] for h, _ in steps),
+            step_entry=step_entry,
+            step_type=step_type,
+            ungated_steps=frozenset(s for s, ty in enumerate(step_type) if ty is None),
             _shapes={},
         )
 
@@ -161,26 +165,26 @@ class TreeSystem:
         return shape
 
 
-def _leaves(system: TreeSystem, interior: frozenset[Address] | set[Address]) -> list[Leaf]:
+def _leaves(system: TreeSystem, interior: frozenset[Address] | set[Address]) -> list[Address]:
     """The leaves of an interior set by definition, for patches with no parent
-    patch: the non-interior children of interior vertices with their entry
-    numbers, in no particular order, or the bare root if the set is empty."""
+    patch: the non-interior children of interior vertices, in no particular
+    order, or the bare root if the set is empty."""
     if not interior:
-        return [((), system.entry_of(()))]
+        return [()]
     children, step_entry = system.children, system.step_entry
     root_children = children[-1]  # the root's entry comes last
     out = []
     for a in interior:
-        for step, entry in (children[step_entry[a[-1]]] if a else root_children).items():
+        for step in children[step_entry[a[-1]]] if a else root_children:
             child = a + (step,)
             if child not in interior:
-                out.append((child, entry))
+                out.append(child)
     return out
 
 
-def _gated(system: TreeSystem, leaves: list[Leaf]) -> bool:
-    """Whether every leaf is entered through a gate."""
-    return system.ungated.isdisjoint(map(itemgetter(1), leaves))
+def _gated(system: TreeSystem, leaves: list[Address]) -> bool:
+    """Whether every leaf, none of them the bare root, enters through a gate."""
+    return system.ungated_steps.isdisjoint(map(itemgetter(-1), leaves))
 
 
 @dataclass(frozen=True)
@@ -217,9 +221,10 @@ class TreePatch:
                     f"(label {system.label_of(parent)!r})"
                 )
         leaves = _leaves(system, interior)
-        self._set_derived(leaves, _gated(system, leaves), None)
+        # the bare root, the leaf of the empty interior, has no gate type
+        self._set_derived(leaves, bool(interior) and _gated(system, leaves), None)
 
-    def _set_derived(self, leaves: list[Leaf], admissible: bool, counts: CountVector | None) -> None:
+    def _set_derived(self, leaves: list[Address], admissible: bool, counts: CountVector | None) -> None:
         # the dataclass is frozen; setting the attributes one by one, in one
         # order, keeps each instance's values in the class's shared key table
         object.__setattr__(self, "_leaf_list", leaves)
@@ -231,7 +236,7 @@ class TreePatch:
         cls,
         system: TreeSystem,
         interior: frozenset[Address],
-        leaves: list[Leaf],
+        leaves: list[Address],
         admissible: bool,
         counts: CountVector | None,
     ) -> TreePatch:
@@ -248,7 +253,7 @@ class TreePatch:
     @cached_property
     def nodes(self) -> frozenset[Address]:
         """The interior plus its leaves."""
-        return self.interior.union(a for a, _ in self._leaf_list)
+        return self.interior.union(self._leaf_list)
 
     @property
     def size(self) -> int:
@@ -260,8 +265,8 @@ class TreePatch:
     def leaves(self) -> tuple[tuple[Address, HalfEdge | None], ...]:
         """All graph leaves, sorted, with their entry half-edges (None at
         the root)."""
-        entries = self.system.entries
-        return tuple((a, entries[e]) for a, e in sorted(self._leaf_list))
+        entries, entry_of = self.system.entries, self.system.entry_of
+        return tuple((a, entries[entry_of(a)]) for a in sorted(self._leaf_list))
 
     def typed_leaves(self) -> list[tuple[Address, HalfEdge]]:
         """Leaves whose entry half-edge is a gate, i.e. admissible leaves."""
@@ -285,8 +290,9 @@ class TreePatch:
         """
         counts = self._counts
         if counts is None:
-            gate_type = self.system.gate_type
-            types = [gate_type[e] for _, e in self._leaf_list]
+            step_type = self.system.step_type
+            # the bare root, the leaf of the empty interior, has no last step
+            types = [step_type[a[-1]] for a in self._leaf_list] if self.interior else []
             counts = CountVector(len(self.interior), tuple(map(types.count, range(self.system.gates.k))))
             object.__setattr__(self, "_counts", counts)
         return counts
@@ -318,28 +324,25 @@ class TreePatch:
 class CaretShape:
     """The forced completion below a vertex with a given entry, relative to
     that vertex: its ``interior`` addresses (the vertex itself is ``()``),
-    its ``leaves`` with their entry numbers, and ``delta``, what growing it
-    at a leaf with that entry adds to the counts: the interior size, then
-    the leaf census minus the grown leaf's own type, if it has one.  For a
-    gate entry of type j, delta is (I_j, M column j - e_j).
+    its ``leaves`` addresses, and ``delta``, what growing it at a leaf with
+    that entry adds to the counts: the interior size, then the leaf census
+    minus the grown leaf's own type, if it has one.  For a gate entry of
+    type j, delta is (I_j, M column j - e_j).
 
     Placed at an address (``place``), the shape is a value of the address
     alone: the entry is read off the address's last step, and the shape
     off the entry.  So the patches that grow one leaf can share one
-    placement, whose leaf tuples equal those each would build."""
+    placement, whose leaf addresses equal those each would build."""
 
     interior: tuple[Address, ...]
-    leaves: tuple[Leaf, ...]
+    leaves: tuple[Address, ...]
     delta: CountVector
 
-    def place(self, addr: Address) -> tuple[frozenset[Address], list[Leaf]]:
+    def place(self, addr: Address) -> tuple[frozenset[Address], list[Address]]:
         """The shape grown at ``addr``: its interior addresses as a set (a
         set operand sizes the table of a set union once, where an iterable
         would grow it step by step to twice the size), and its leaves."""
-        return (
-            frozenset([addr + a for a in self.interior]),
-            [(addr + a, e) for a, e in self.leaves],
-        )
+        return frozenset([addr + a for a in self.interior]), [addr + a for a in self.leaves]
 
 
 def _build_shape(system: TreeSystem, entry: int, at: Address) -> CaretShape:
@@ -352,7 +355,8 @@ def _build_shape(system: TreeSystem, entry: int, at: Address) -> CaretShape:
     system.require_admissible()
     children, gate_type = system.children, system.gate_type
     interior: list[Address] = []
-    leaves: list[Leaf] = []
+    leaves: list[Address] = []
+    census = [0] * system.gates.k
     grown = 0
     stack: list[tuple[Address, int]] = [((), entry)]
     while stack:
@@ -363,14 +367,16 @@ def _build_shape(system: TreeSystem, entry: int, at: Address) -> CaretShape:
         if grown > NODE_BUDGET:
             raise CapExceeded(f"growth below {at} exceeded the node budget of {NODE_BUDGET}")
         for step, child_entry in kids.items():
-            if gate_type[child_entry] is None:
+            ty = gate_type[child_entry]
+            if ty is None:
                 stack.append((a + (step,), child_entry))
             else:
-                leaves.append((a + (step,), child_entry))
-    census = Counter(gate_type[e] for _, e in leaves)
+                leaves.append(a + (step,))
+                census[ty] += 1
     own = gate_type[entry]
-    delta = CountVector(len(interior), tuple(census[i] - (i == own) for i in range(system.gates.k)))
-    return CaretShape(tuple(interior), tuple(leaves), delta)
+    if own is not None:
+        census[own] -= 1
+    return CaretShape(tuple(interior), tuple(leaves), CountVector(len(interior), tuple(census)))
 
 
 def base_tree(g: GraphOfGroups, gs: GateSystem, seed: "TreePatch | str") -> TreePatch:
@@ -390,7 +396,8 @@ def base_tree(g: GraphOfGroups, gs: GateSystem, seed: "TreePatch | str") -> Tree
     system = seed.system
     system.require_admissible()
     grown = set(seed.interior)
-    for a, e in seed._leaf_list:
+    for a in seed._leaf_list:
+        e = system.entry_of(a)
         if system.gate_type[e] is None:
             grown.update(system.shape(e, a).place(a)[0])
     return TreePatch(system, frozenset(grown))
@@ -426,7 +433,7 @@ def _caret(system: TreeSystem, nu: HalfEdge) -> Caret:
     """
     step = system.steps.index((nu.opposite(), 0))
     shape = system.shape(system.step_entry[step], (step,))
-    census = Counter(e for _, e in shape.leaves)
+    census = Counter(system.step_entry[a[-1]] for a in shape.leaves)
     return Caret(
         gate=nu,
         terminal_leaf_types=tuple((system.entries[e], n) for e, n in sorted(census.items())),
@@ -489,11 +496,11 @@ def expand_leaf(t: TreePatch, leaf: Address) -> TreePatch:
         raise ValidationError(f"leaf {leaf} has no gate type (entry {system.entries[entry]})")
     shape = system.shape(entry, leaf)
     mat, placed = shape.place(leaf)
-    return _grow(t, t._leaf_list.index((leaf, entry)), t.interior.union(mat), placed, shape.delta)
+    return _grow(t, t._leaf_list.index(leaf), t.interior.union(mat), placed, shape.delta)
 
 
 def _grow(
-    t: TreePatch, i: int, interior: frozenset[Address], placed: list[Leaf], delta: CountVector
+    t: TreePatch, i: int, interior: frozenset[Address], placed: list[Address], delta: CountVector
 ) -> TreePatch:
     """``t`` grown to ``interior`` by a shape placed at its ``i``-th listed
     leaf, which has a gate type, built by ``TreePatch._derived``;
@@ -501,23 +508,23 @@ def _grow(
     delta.
 
     The child's leaf list is one copy of t's less the grown leaf, then
-    the placed leaves.  Their tuples are shared, not copied: a placement
-    is a value of the leaf's address (see ``CaretShape``) and tuples are
-    immutable, so each patch growing that leaf gets a list equal to the
-    one it would build for itself.
+    the placed leaves.  Their addresses are shared, not copied: a
+    placement is a value of the leaf's address (see ``CaretShape``) and
+    tuples are immutable, so each patch growing that leaf gets a list
+    equal to the one it would build for itself.
 
     Let C be the shape's addresses placed at the leaf l.  The shape walk
-    starts at l with l's entry and appends to each vertex only child steps
-    of that vertex's entry, whose child then has the entry the step leads
-    to; l's own parent is interior in t, since l is a leaf.  So the union
-    with the prefix-closed interior of t is prefix-closed and every step is
-    a child step of its parent.  Nothing of t lies below l, so the
-    children of C's vertices that are not in C are exactly the shape's
-    leaves placed at l, and the only child of an interior vertex of t that
-    enters C is l: the leaves are leaves(t) - {l} plus the placed leaves.
-    The interior grows by |C|, and the census loses l's type and gains the
-    shape's leaves, all of which have gate types: the counts grow by the
-    shape's delta, and the patch is admissible exactly when t is.
+    starts at l with the entry of l's last step and extends each address
+    only by child steps of its entry, each leading to the entry of the new
+    last step; l's own parent is interior in t, since l is a leaf.  So the
+    union with the prefix-closed interior of t is prefix-closed and every
+    step is a child step of its parent.  No address of t extends l, so the
+    children of C's addresses outside C are exactly the placed leaves, and
+    the only child of an interior address of t in C is l: the leaves are
+    leaves(t) - {l} plus the placed leaves.  The interior grows by |C|, and
+    the census loses the type of l's last step and gains the types of the
+    placed leaves, all gate types: the counts grow by the shape's delta,
+    and the patch is admissible exactly when t is.
     """
     leaves = t._leaf_list.copy()
     del leaves[i]
@@ -540,9 +547,9 @@ def history(t: TreePatch, t0: TreePatch) -> History:
         raise ValidationError("t0 is not a subtree of t")
     t0.require_admissible("t0")
     t.require_admissible("t")
-    gate_type, step_entry = t.system.gate_type, t.system.step_entry
+    step_type = t.system.step_type
     # t0 is admissible, so its interior holds the root
-    census = Counter(gate_type[step_entry[a[-1]]] for a in t.interior - t0.interior)
+    census = Counter(step_type[a[-1]] for a in t.interior - t0.interior)
     return History(tuple(census[i] for i in range(t.system.gates.k)))
 
 
@@ -553,13 +560,15 @@ def _combine(t1: TreePatch, t2: TreePatch, union: bool) -> TreePatch:
     Unions and intersections of prefix-closed sets are prefix-closed, and
     whether an address's last step is a child step of its parent does not
     depend on the patch, so the result needs no validation.  Interiors hold
-    the root and are prefix-closed, so a vertex is a node of t exactly when
-    it or its parent is interior in t.  A leaf of I1 | I2 is a leaf of t1
-    not in I2 or a leaf of t2 not a node of t1; a leaf of I1 & I2 is a leaf
-    of t1 that is a node of t2 or a leaf of t2 in I1.  Each such vertex is
-    a leaf of the result, and the two kinds are disjoint.  The result is
-    admissible by theorem; that is checked on the derived list on every
-    call, and its census waits for the first ``counts()``."""
+    the root and are prefix-closed, so an address is a node of t exactly
+    when it or its parent is interior in t.  A leaf of I1 | I2 is a leaf
+    address of t1 not in I2 or a leaf address of t2 not a node of t1; a
+    leaf of I1 & I2 is a leaf address of t1 that is a node of t2 or a leaf
+    address of t2 in I1.  Each such address is a leaf of the result, and
+    the two kinds are disjoint.  No leaf is the bare root, as both
+    interiors hold it.  The result is admissible by theorem; that is
+    checked on the derived list on every call, and its census waits for
+    the first ``counts()``."""
     system = t1.system
     if system is not t2.system and system != t2.system:
         raise ValidationError("patches come from incompatible enumerations")
@@ -568,13 +577,13 @@ def _combine(t1: TreePatch, t2: TreePatch, union: bool) -> TreePatch:
     i1, i2 = t1.interior, t2.interior
     if union:
         n1 = t1.nodes
-        leaves = [x for x in t1._leaf_list if x[0] not in i2]
-        leaves += [x for x in t2._leaf_list if x[0] not in n1]
+        leaves = [a for a in t1._leaf_list if a not in i2]
+        leaves += [a for a in t2._leaf_list if a not in n1]
         interior = i1 | i2
     else:
         n2 = t2.nodes
-        leaves = [x for x in t1._leaf_list if x[0] in n2]
-        leaves += [x for x in t2._leaf_list if x[0] in i1]
+        leaves = [a for a in t1._leaf_list if a in n2]
+        leaves += [a for a in t2._leaf_list if a in i1]
         interior = i1 & i2
     out = TreePatch._derived(system, interior, leaves, _gated(system, leaves), None)
     if not out.is_admissible():
@@ -613,18 +622,19 @@ def enumerate_admissible(
     if t0.system.graph != g or t0.system.gates != gs:
         raise ValidationError("t0 belongs to a different system")
     t0.require_admissible("t0")
-    shape = t0.system.shape
-    placements: dict[Address, tuple[frozenset[Address], list[Leaf], CountVector]] = {}
+    shape, step_entry = t0.system.shape, t0.system.step_entry
+    placements: dict[Address, tuple[frozenset[Address], list[Address], CountVector]] = {}
     # each patch carries its leaf list, which both growth and sorting read
     seen: dict[frozenset[Address], TreePatch] = {t0.interior: t0}
     frontier = [t0]
     for _ in range(max_expansions):
         nxt: list[TreePatch] = []
         for t in frontier:
-            for i, (leaf, entry) in enumerate(t._leaf_list):
+            for i, leaf in enumerate(t._leaf_list):
                 placement = placements.get(leaf)
                 if placement is None:
-                    caret = shape(entry, leaf)
+                    # t0 is admissible, so no leaf is the bare root
+                    caret = shape(step_entry[leaf[-1]], leaf)
                     placement = placements[leaf] = (*caret.place(leaf), caret.delta)
                 mat, placed, delta = placement
                 grown = t.interior.union(mat)
@@ -679,18 +689,18 @@ def interval_lattice(t: TreePatch, t_prime: TreePatch) -> IntervalLattice:
     if not t.interior <= t_prime.interior:
         raise ValidationError("top does not contain bottom")
 
-    carets: dict[Address, tuple[int, frozenset[Address], list[Leaf], CountVector]] = {}
+    carets: dict[Address, tuple[frozenset[Address], list[Address], CountVector]] = {}
     covered: set[Address] = set()
-    for leaf, entry in t._leaf_list:
+    for leaf in t._leaf_list:
         if leaf not in t_prime.interior:
             continue
-        shape = system.shape(entry, leaf)
+        shape = system.shape(system.step_entry[leaf[-1]], leaf)
         mat, placed = shape.place(leaf)
         if not mat <= t_prime.interior:
             raise InvariantViolation(
                 f"expansion of leaf {leaf} is not contained in the top patch"
             )
-        carets[leaf] = entry, mat, placed, shape.delta
+        carets[leaf] = mat, placed, shape.delta
         covered |= mat
     extra = t_prime.interior - t.interior - covered
     if extra:
@@ -703,10 +713,9 @@ def interval_lattice(t: TreePatch, t_prime: TreePatch) -> IntervalLattice:
     # every element that has not grown it
     elements = [t]
     for leaf in leaves:
-        entry, mat, placed, delta = carets[leaf]
+        mat, placed, delta = carets[leaf]
         elements += [
-            _grow(e, e._leaf_list.index((leaf, entry)), e.interior | mat, placed, delta)
-            for e in elements
+            _grow(e, e._leaf_list.index(leaf), e.interior | mat, placed, delta) for e in elements
         ]
     elements.sort(key=TreePatch.sort_key)
     return IntervalLattice(t, t_prime, leaves, tuple(elements))

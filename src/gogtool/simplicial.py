@@ -18,9 +18,9 @@ Its costly hypothesis, m-flag with respect to sigma, fails exactly when
 some minimal non-face B with 3 <= |B| <= m+1 meets sigma; then
 (B - sigma, B & sigma) is a violating pair.  B extends a face F by a
 vertex above F[-1], and every pair in B is an edge, so the vertices tried
-are the common neighbours of F, read off the masks.  The joinability
-hypothesis draws pseudofaces from sigma's vertices adjacent to v, and
-tests only the faces that v adds.
+are the common neighbours of F, read off the masks.  Once that holds,
+the joinability hypothesis is a count of the vertices of sigma that are
+v or its neighbours.
 
 Connectivity is verified homologically plus path-connectedness.  That is
 a necessary condition for topological m-connectedness, not a proof of
@@ -29,7 +29,6 @@ it; every report carries this caveat.
 
 from __future__ import annotations
 
-import bisect
 import heapq
 import itertools
 import math
@@ -42,7 +41,6 @@ from functools import cached_property
 from .count_algebra import NOTE_HOMOLOGY_PROXY
 from .errors import CapExceeded, InvariantViolation, ValidationError
 
-PSEUDOFACE_SEARCH_CAP = 200_000  # (l-k)-pseudofaces tried per vertex
 # cells homology holds: the nonzeros of each sparse d_k it builds, and the
 # rows x columns of each dense block left after the unit pivots
 HOMOLOGY_CELL_CAP = 4_000_000
@@ -256,28 +254,6 @@ class ConnectivityBound:
     note: str = NOTE_HOMOLOGY_PROXY
 
 
-def _joins(cx: SimplicialComplex, v, tau: tuple, m: int) -> bool:
-    """``m_joinable(cx, (v,), tau, m)`` for a sorted tau inside an
-    m-pseudosimplex sigma, every vertex of tau v or a neighbour of v.
-
-    {v} union tau is an m-pseudosimplex iff its subsets of at most m+1
-    vertices are faces.  When v is in tau the union is tau, a subset of
-    sigma, so it is one.  Otherwise a subset that misses v lies in sigma,
-    a face; {v} is a vertex and {v, w} an edge for w in tau.  So only
-    {v} union c with c a subset of tau and 2 <= |c| <= min(|tau|, m) is
-    left to test.
-    """
-    if v in tau:
-        return True
-    for size in range(2, min(len(tau), m) + 1):
-        faces = cx.faces_of_size(size + 1)
-        for c in itertools.combinations(tau, size):
-            i = bisect.bisect(c, v)
-            if c[:i] + (v,) + c[i:] not in faces:
-                return False
-    return True
-
-
 def lemma_connectivity_bound(cx: SimplicialComplex, sigma, m: int, k: int) -> ConnectivityBound:
     """Verify the hypotheses of the pseudosimplex connectivity lemma and
     return the implied connectivity bound, or the failed hypothesis.
@@ -285,11 +261,18 @@ def lemma_connectivity_bound(cx: SimplicialComplex, sigma, m: int, k: int) -> Co
     Hypotheses: sigma is an m-pseudosimplex of dimension l, the complex is
     m-flag with respect to sigma, and every vertex is m-joinable to some
     (l - k)-pseudoface of sigma.  sigma is checked once; the flag search
-    and the joinability loop read one ``_neighbour_masks`` index.  The
-    (l - k)-pseudofaces tried for a vertex v are drawn from the vertices
-    of sigma that are v or its neighbours, in sorted order, as a pseudoface
-    holding any other vertex w of sigma is not joinable to v ({v, w} is
-    no face).
+    and the joinability count read one ``_neighbour_masks`` index.
+
+    Once the flag hypothesis holds, a vertex v is joinable exactly when at
+    least l - k + 1 vertices of sigma are v or its neighbours.  A
+    pseudoface holding any other vertex w of sigma is not joinable to v
+    ({v, w} is no face).  Conversely, let tau be a set of vertices of
+    sigma, each v or a neighbour of v.  If {v} union tau is no
+    m-pseudosimplex, some non-face of at most m+1 vertices lies in it, and
+    so does a minimal non-face B.  B is not inside sigma, which is an
+    m-pseudosimplex, so B holds v; B is no vertex, nor a pair {v, w}, an
+    edge.  So B holds v and at least two vertices of sigma, with
+    3 <= |B| <= m+1, and the flag search would have reported it.
     """
     if k < 1:
         raise ValidationError("k must be >= 1")
@@ -312,17 +295,10 @@ def lemma_connectivity_bound(cx: SimplicialComplex, sigma, m: int, k: int) -> Co
     l = len(sig) - 1
     size = max(l - k + 1, 0)
     if size > 0:
+        sig_mask = sum(bit[w] for w in sig)
         for v in cx.vertices:
-            near = nbr[v] | bit[v]
-            cands = [w for w in sig if near & bit[w]]
-            if len(cands) < size:
+            if ((nbr[v] | bit[v]) & sig_mask).bit_count() < size:
                 return failed(f"vertex {v!r} is not joinable to enough of sigma")
-            if math.comb(len(cands), size) > PSEUDOFACE_SEARCH_CAP:
-                return failed(
-                    f"pseudoface search for vertex {v!r} exceeds cap {PSEUDOFACE_SEARCH_CAP}"
-                )
-            if not any(_joins(cx, v, tau, m) for tau in itertools.combinations(cands, size)):
-                return failed(f"vertex {v!r} is not m-joinable to any (l-k)-pseudoface of sigma")
     return ConnectivityBound(min(l // k - 1, m - 1), None, sig, m, k)
 
 

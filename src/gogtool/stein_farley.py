@@ -332,7 +332,7 @@ def _removable_carets(t: TreePatch, t0: TreePatch) -> list[tuple]:
         if ty is None:
             continue
         mat, placed = system.shape(entry, addr).place(addr)
-        if mat <= interior and all(a not in interior for a, _ in placed):
+        if mat <= interior and interior.isdisjoint(placed):
             out.append((addr, ty))
     return out
 

@@ -432,6 +432,10 @@ def _containers(children):
         _INT_ROWS,
         st.lists(st.lists(st.one_of(st.integers(), st.booleans()), max_size=3), max_size=3),
         st.lists(st.lists(children, max_size=3), max_size=3),
+        # lists that hold one object several times, as enumerate's rows do
+        st.lists(children, min_size=1, max_size=3).flatmap(
+            lambda items: st.lists(st.sampled_from(items), min_size=2, max_size=6)
+        ),
     )
 
 

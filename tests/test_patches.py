@@ -272,13 +272,24 @@ def test_enumerate_matches_sequence_dedup_oracle():
     assert len(sizes) == 32 and sum(sizes) > 1500
 
 
+@pytest.mark.parametrize("name", ["loop33", "bs23_aug"])
+def test_bare_root(name: str, request):
+    # the one leaf address with no last step to read an entry off
+    sys = request.getfixturevalue(name)
+    t = gt.TreePatch(sys.t0.system, frozenset())
+    assert t.leaves() == (((), None),)
+    assert t.nodes == {()}
+    assert t.counts() == gt.CountVector(0, (0,) * sys.gs.k)
+    assert not t.is_admissible()
+
+
 def test_enumeration_shares_leaf_tuples(loop33: System):
     # each address lies below one caret root, so one placement per leaf
-    # makes one (address, entry) tuple per distinct pair
+    # makes one leaf address tuple per distinct address
     trees = gt.enumerate_admissible(loop33.g, loop33.gs, loop33.t0, 4)
     objects = {id(x) for p in trees for x in p._leaf_list}
-    pairs = {x for p in trees for x in p._leaf_list}
-    assert len(objects) == len(pairs)
+    addresses = {x for p in trees for x in p._leaf_list}
+    assert len(objects) == len(addresses)
     assert len(trees) == 3882
 
 
@@ -512,7 +523,8 @@ def test_derived_patches_equal_the_definition():
             derived += [gt.expand_leaf(t, a) for a, _ in t.leaves()]
         for t in derived:
             assert gt.TreePatch(t.system, t.interior) == t
-            types = [t.system.gate_type[e] for _, e in patches._leaves(t.system, t.interior)]
+            entry_of = t.system.entry_of
+            types = [t.system.gate_type[entry_of(a)] for a in patches._leaves(t.system, t.interior)]
             census = tuple(types.count(i) for i in range(sys.gs.k))
             assert t.counts() == gt.CountVector(len(t.interior), census)
             assert t.is_admissible() == (None not in types)
@@ -545,8 +557,8 @@ def test_shapes_match_the_stack_walk():
             assert mat == interior
             leaves = patches._leaves(system, interior)
             assert sorted(shape_leaves) == sorted(leaves)
-            assert shape_leaves == [(addr + a, e) for a, e in shape.leaves]
-            types = [system.gate_type[e] for _, e in leaves]
+            assert shape_leaves == [addr + a for a in shape.leaves]
+            types = [system.gate_type[system.entry_of(a)] for a in leaves]
             own = system.gate_type[entry]
             census = tuple(types.count(i) - (i == own) for i in range(gs.k))
             assert shape.delta == gt.CountVector(len(interior), census)

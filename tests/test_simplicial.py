@@ -1,7 +1,6 @@
 import functools
 import itertools
 import json
-import math
 import os
 import random
 import subprocess
@@ -595,11 +594,6 @@ def reference_lemma_bound(cx: SimplicialComplex, sigma, m: int, k: int) -> tuple
             cands = [w for w in sig if cx.is_face({v, w})]
             if len(cands) < size:
                 return None, f"vertex {v!r} is not joinable to enough of sigma", sig
-            if math.comb(len(cands), size) > simplicial.PSEUDOFACE_SEARCH_CAP:
-                return None, (
-                    f"pseudoface search for vertex {v!r} exceeds cap "
-                    f"{simplicial.PSEUDOFACE_SEARCH_CAP}"
-                ), sig
             if not any(
                 m_joinable(cx, (v,), tau, m) for tau in itertools.combinations(cands, size)
             ):
@@ -678,6 +672,13 @@ def test_connectivity_bound_full_simplex():
     full = SimplicialComplex.from_maximal([{0, 1, 2, 3}])
     cb = lemma_connectivity_bound(full, (0, 1, 2, 3), 2, 1)
     assert cb.bound == 1 and cb.failed is None
+
+
+def test_connectivity_bound_wide_sigma():
+    # comb(24, 12) candidate pseudofaces per vertex: joinability is a count
+    # of sigma's vertices adjacent to v once the flag hypothesis holds
+    cx = random_complex(1, 24, 1.0, max_dim=2)
+    assert lemma_connectivity_bound(cx, range(24), 2, 12).bound == 0
 
 
 def test_connectivity_bound_hollow_triangle():
