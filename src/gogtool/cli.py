@@ -2,8 +2,8 @@
 
 Every subcommand reads a .gog description (or a complex JSON), prints a
 deterministic artifact to stdout, and optionally writes artifacts into
---out.  Exit codes: 0 success, 1 validation failure, 2 cap exceeded,
-3 internal invariant violation (always a bug).
+--out.  Exit codes: 0 success, 1 validation failure (a usage error
+too), 2 cap exceeded, 3 internal invariant violation (always a bug).
 """
 
 from __future__ import annotations
@@ -416,8 +416,17 @@ def _add_tree_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--root", help="root vertex of the base tree (default: first vertex)")
 
 
+class _Parser(argparse.ArgumentParser):
+    """Raises a usage error as a ValidationError, so it exits 1 with one
+    line like any other bad input (argparse exits 2, the cap code).  Its
+    subparsers are of this class too."""
+
+    def error(self, message):
+        raise ValidationError(f"{self.prog}: {message}")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="gogtool",
         description="graphs of groups: gates, carets, count algebra, descending links",
     )
@@ -537,9 +546,8 @@ _MINIMUM = {
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         for name, least in _MINIMUM.items():
             value = getattr(args, name, None)
             if value is not None and value < least:

@@ -1,10 +1,11 @@
 """Finite abstract simplicial complexes, integer homology, and the
 pseudosimplex connectivity checker.
 
-A complex stores every face once, as a sorted vertex tuple, grouped by
-size; membership is a lookup and the maximal faces are derived.  Vertex
-labels only need to be hashable and sortable.  Homology is exact over
-the integers.  rank d_1 comes from union-find components (a graph
+A complex has one face format: ``faces[s-1]`` is the sorted tuple of its
+sorted s-vertex tuples; the vertices are its first layer, membership is
+a binary search, and the maximal faces are derived.  Vertex labels only
+need to be hashable and sortable.  Homology is exact over the integers.
+rank d_1 comes from union-find components over the edge set (a graph
 incidence matrix is totally unimodular, so all its invariant factors are
 1).  Each higher d_k is built as sparse columns and checked by
 d_(k-1) d_k = 0.  The d_k are reduced from the top down: the +-1 entries
@@ -29,6 +30,7 @@ it; every report carries this caveat.
 
 from __future__ import annotations
 
+import bisect
 import heapq
 import itertools
 import math
@@ -46,28 +48,18 @@ from .errors import CapExceeded, InvariantViolation, ValidationError
 HOMOLOGY_CELL_CAP = 4_000_000
 
 
-def maximal_faces(vertices, higher) -> tuple[tuple, ...]:
-    """The faces that are no facet of a face one size larger, smallest
-    first, read in place from ``vertices`` (labels) and the sorted layers
-    ``higher[s-2]`` of faces with s >= 2 vertices, which may be empty.  A
-    vertex is maximal when it lies on no edge, and a higher face when it
-    is no facet of the next layer."""
-    on_edge = set(itertools.chain.from_iterable(higher[0])) if higher else set()
-    out = [(v,) for v in vertices if v not in on_edge]
-    for size, layer in enumerate(higher, 2):
-        upper = higher[size - 1] if size - 1 < len(higher) else ()
-        covered = {f[:p] + f[p + 1:] for f in upper for p in range(size + 1)}
-        out += [f for f in layer if f not in covered]
-    return tuple(out)
+def _has(layer: Sequence[tuple], face: tuple) -> bool:
+    """Whether the sorted ``layer`` holds ``face``, by binary search."""
+    i = bisect.bisect_left(layer, face)
+    return i < len(layer) and layer[i] == face
 
 
 @dataclass(frozen=True)
 class SimplicialComplex:
-    """Downward-closed face family: ``faces[s-1]`` holds the faces with s
-    vertices, each a sorted vertex tuple."""
+    """Downward-closed face family: ``faces[s-1]`` is the sorted tuple of
+    its sorted s-vertex tuples, and no layer is empty."""
 
-    vertices: tuple
-    faces: tuple[frozenset, ...]
+    faces: tuple[tuple[tuple, ...], ...]
 
     @staticmethod
     def from_maximal(faces, vertices=None) -> "SimplicialComplex":
@@ -85,8 +77,11 @@ class SimplicialComplex:
             levels[len(f) - 1].add(f)
             if len(f) > 1:
                 stack.extend(f[:p] + f[p + 1:] for p in range(len(f)))
-        vs = tuple(v for (v,) in sorted(levels[0])) if levels else ()
-        return SimplicialComplex(vs, tuple(frozenset(level) for level in levels))
+        return SimplicialComplex(tuple(tuple(sorted(level)) for level in levels))
+
+    @property
+    def vertices(self) -> tuple:
+        return tuple(v for (v,) in self.faces[0]) if self.faces else ()
 
     @property
     def dimension(self) -> int:
@@ -94,18 +89,23 @@ class SimplicialComplex:
 
     @cached_property
     def maximal_faces(self) -> tuple[tuple, ...]:
-        """Faces that are no facet of a face one size larger."""
-        return maximal_faces(self.vertices, [sorted(level) for level in self.faces[1:]])
+        """Faces that are no facet of a face one size larger, by size; a
+        vertex is maximal when it lies on no edge."""
+        faces = self.faces + ((), ())
+        on_edge = set(itertools.chain.from_iterable(faces[1]))
+        out = [f for f in faces[0] if f[0] not in on_edge]
+        for size, layer in enumerate(self.faces[1:], 2):
+            covered = {f[:p] + f[p + 1:] for f in faces[size] for p in range(size + 1)}
+            out += [f for f in layer if f not in covered]
+        return tuple(out)
 
     def is_face(self, s) -> bool:
         f = tuple(sorted(set(s)))
-        if not f:
-            return bool(self.faces)
-        return f in self.faces_of_size(len(f))
+        return _has(self.faces_of_size(len(f)), f) if f else bool(self.faces)
 
-    def faces_of_size(self, size: int) -> frozenset:
+    def faces_of_size(self, size: int) -> tuple[tuple, ...]:
         """All faces with ``size`` vertices (simplices of dimension size-1)."""
-        return self.faces[size - 1] if 0 < size <= len(self.faces) else frozenset()
+        return self.faces[size - 1] if 0 < size <= len(self.faces) else ()
 
     def f_vector(self) -> tuple[int, ...]:
         return tuple(len(level) for level in self.faces)
@@ -145,7 +145,7 @@ def is_m_pseudosimplex(cx: SimplicialComplex, sigma, m: int) -> bool:
     """
     s = sorted(set(sigma))
     return all(
-        c in cx.faces_of_size(size)
+        _has(cx.faces_of_size(size), c)
         for size in range(1, min(len(s), m + 1) + 1)
         for c in itertools.combinations(s, size)
     )
@@ -164,9 +164,9 @@ class FlagCheck:
 
 def _neighbour_masks(cx: SimplicialComplex) -> tuple[list, dict, dict]:
     """Per-call index of the 1-skeleton, built in O(|V| + |E|): the
-    vertices sorted by label, each vertex's bit (ranked in that order) and
+    vertices in label order, each vertex's bit (ranked in that order) and
     each vertex's neighbour bitmask.  Nothing is stored on the complex."""
-    order = sorted(cx.vertices)
+    order = cx.vertices
     bit = {v: 1 << i for i, v in enumerate(order)}
     nbr = dict.fromkeys(order, 0)
     for a, b in cx.faces_of_size(2):
@@ -202,14 +202,14 @@ def _first_violation(cx: SimplicialComplex, sig, m: int, order, bit, nbr) -> Fla
     which is not checked again, over the index of ``_neighbour_masks``.
 
     B is searched by size, then sorted vertex tuple: each face F of size
-    |B| - 1, in sorted order, is extended by each vertex v above F[-1] in
-    label order.  So the counterexample (sorted(B - sigma), sorted(B &
-    sigma)) is the same in every run, whatever the order of
-    ``cx.vertices``.  Only the v set in nbr[u] for every u in F (and, when
-    F misses sigma, in sigma) are tried: for |B| >= 3, a pair {u, v} of B
-    with u in F that is no edge lies in the facet B - {w} for some other
-    w in F, which is then no face, so B is no minimal non-face.  The
-    candidates are walked upward, so the first B found is the same.
+    |B| - 1, in its sorted layer, is extended by each vertex v above F[-1]
+    in label order.  A complex holds no other order, so the counterexample
+    (sorted(B - sigma), sorted(B & sigma)) is the least B in every run.
+    Only the v set in nbr[u] for every u in F (and, when F misses sigma,
+    in sigma) are tried: for |B| >= 3, a pair {u, v} of B with u in F that
+    is no edge lies in the facet B - {w} for some other w in F, which is
+    then no face, so B is no minimal non-face.  The candidates are walked
+    upward, so the first B found is the same.
     """
     if m < 2:
         return FlagCheck(True)  # no size 3 <= |B| <= m + 1
@@ -219,7 +219,7 @@ def _first_violation(cx: SimplicialComplex, sig, m: int, order, bit, nbr) -> Fla
     for size in range(3, m + 2):
         smaller = cx.faces_of_size(size - 1)
         larger = cx.faces_of_size(size)
-        for face in sorted(smaller):
+        for face in smaller:
             common = -(bit[face[-1]] << 1)  # every bit above face[-1]'s
             for u in face:
                 common &= nbr[u]
@@ -229,7 +229,9 @@ def _first_violation(cx: SimplicialComplex, sig, m: int, order, bit, nbr) -> Fla
                 low = common & -common
                 common ^= low
                 b = face + (order[low.bit_length() - 1],)
-                if b not in larger and all(b[:p] + b[p + 1:] in smaller for p in range(size - 1)):
+                if not _has(larger, b) and all(
+                    _has(smaller, b[:p] + b[p + 1:]) for p in range(size - 1)
+                ):
                     return FlagCheck(
                         False,
                         (tuple(u for u in b if u not in sig), tuple(u for u in b if u in sig)),
@@ -370,10 +372,10 @@ def boundary_matrix(cx: SimplicialComplex, d: int) -> list[dict[int, int]]:
     Column j maps row indices to the usual alternating signs; rows are
     indexed by the sorted (d-1)-faces and columns by the sorted d-faces.
     """
-    lo_index = {f: i for i, f in enumerate(sorted(cx.faces_of_size(d)))}
+    lo_index = {f: i for i, f in enumerate(cx.faces_of_size(d))}
     return [
         {lo_index[f[:p] + f[p + 1:]]: 1 if p % 2 == 0 else -1 for p in range(d + 1)}
-        for f in sorted(cx.faces_of_size(d + 1))
+        for f in cx.faces_of_size(d + 1)
     ]
 
 
@@ -393,7 +395,9 @@ class HomologyReport:
 
 def _components(cx: SimplicialComplex) -> int:
     """The number of connected components, by union-find over the edges;
-    each merge removes one component, so the scan stops at one."""
+    each merge removes one component, so the scan stops at one.  It walks
+    the edge set, as in layer order the last vertices merge late (loop(3,3)
+    h14: after 47,101 of 73,500 edges, against 5,044 for the set)."""
     parent = {v: v for v in cx.vertices}
     count = len(parent)
 
@@ -403,7 +407,7 @@ def _components(cx: SimplicialComplex) -> int:
             x = parent[x]
         return x
 
-    for a, b in cx.faces_of_size(2):
+    for a, b in frozenset(cx.faces_of_size(2)):
         if count == 1:
             break
         ra, rb = find(a), find(b)
@@ -610,19 +614,19 @@ def random_complex(
     }
 
     cap = n_vertices if max_dim is None else max_dim + 1
-    layers = [[(v,) for v in verts]]
+    layers = [tuple((v,) for v in verts)]
     dropped = set()
     while layers[-1] and len(layers) < cap:
-        layer = [
+        layer = tuple(
             c + (v,)
             for c in layers[-1]
             for v in range(c[-1] + 1, n_vertices)
             if all((u, v) in adj for u in c)
             and not any((u, w, v) in dropped for u, w in itertools.combinations(c, 2))
-        ]
+        )
         if len(layers) == 2 and drop > 0:
             # drawn in sorted order; no clique holding a dropped one grows
             dropped = {t for t in layer if t[-1] >= ground and rng.random() < drop}
-            layer = [t for t in layer if t not in dropped]
+            layer = tuple(t for t in layer if t not in dropped)
         layers.append(layer)
-    return SimplicialComplex(tuple(verts), tuple(frozenset(layer) for layer in layers if layer))
+    return SimplicialComplex(tuple(layer for layer in layers if layer))

@@ -17,9 +17,9 @@ So a face is fixed by its caret-type multiset mu plus a slot assignment,
 and one builder, ``_link``, turns the allowed mu into their labelled
 faces.  It extends each face by the vertices of one type that hold none
 of its slots, read off per-slot vertex bitsets, so its time follows the
-faces it emits.  Its sorted layers are read in place: the maximal faces
-come from the one rule in ``simplicial.maximal_faces``, and the JSON
-form copies no face.  The two constructions differ only in where the
+faces it emits.  Its sorted layers are read in place, as the higher
+layers of ``to_complex()`` and in the JSON form, which copies no face.
+The two constructions differ only in where the
 downward-closed set of allowed mu comes from: the fast path reads it off
 the histories of the count class (only claimed for systems with the
 viral expansion property), while the definition-level oracle reads it
@@ -63,7 +63,6 @@ from .simplicial import (
     check_homology_cells,
     homology,
     lemma_connectivity_bound,
-    maximal_faces,
 )
 
 DEFAULT_LINK_VERTEX_CAP = 100_000
@@ -136,8 +135,8 @@ class DescendingLink:
 
     ``higher_faces[d-1]`` holds the dimension-d faces as increasing tuples
     of indices into ``vertices``, and each layer is sorted.  Dimension-0
-    faces are the vertices themselves.  The maximal faces and the JSON
-    form read these layers in place: nothing is copied per face.
+    faces are the vertices themselves.  The complex, its maximal faces
+    and the JSON form read these layers in place: nothing is copied.
     """
 
     x: CountVector
@@ -150,14 +149,13 @@ class DescendingLink:
 
     @property
     def maximal_faces(self) -> tuple[tuple[int, ...], ...]:
-        """The faces that are no facet of a face one size larger, in the
-        order ``SimplicialComplex.maximal_faces`` lists them."""
-        return maximal_faces(range(len(self.vertices)), self.higher_faces)
+        """The faces that are no facet of a face one size larger."""
+        return self.to_complex().maximal_faces
 
     def to_complex(self) -> SimplicialComplex:
-        n = len(self.vertices)
-        levels = (tuple((i,) for i in range(n)),) + self.higher_faces
-        return SimplicialComplex(tuple(range(n)), tuple(frozenset(fs) for fs in levels if fs))
+        """The link on its vertex indices, holding its own higher layers."""
+        levels = (tuple((i,) for i in range(len(self.vertices))),) + self.higher_faces
+        return SimplicialComplex(tuple(fs for fs in levels if fs))
 
     def to_json_dict(self) -> dict:
         return {
@@ -352,6 +350,10 @@ def oracle_descending_link(
     multiset contributes all its labelled faces, which ``_link`` builds as
     on the fast path; the multisets found are downward closed, so they
     are its allowed set as they stand.
+
+    The enumeration goes (x.interior - t0.interior) // min(I) expansions
+    deep: an expansion of type j adds I_j >= min(I) interior vertices, so
+    no tree with the counts of x lies deeper.
     """
     t0.require_admissible("t0")
     table = caret_table(g, gs)
@@ -360,7 +362,8 @@ def oracle_descending_link(
 
     mus: set[tuple[int, ...]] = set()
     if delta >= 0:
-        for t in enumerate_admissible(g, gs, t0, delta, max_trees):
+        depth = delta // min(table.I, default=1)
+        for t in enumerate_admissible(g, gs, t0, depth, max_trees):
             if t.counts() != x:
                 continue
             types = [j for _, j in _removable_carets(t, t0)]
@@ -380,13 +383,11 @@ def link_difference(a: DescendingLink, b: DescendingLink) -> str | None:
         return f"vertex {extra} only in {side} link"
     if a.f_vector != b.f_vector:
         return f"f-vectors differ: {a.f_vector} vs {b.f_vector}"
-    for d in range(max(len(a.higher_faces), len(b.higher_faces))):
-        fa = set(a.higher_faces[d]) if d < len(a.higher_faces) else set()
-        fb = set(b.higher_faces[d]) if d < len(b.higher_faces) else set()
-        if fa != fb:
-            extra = sorted(fa ^ fb)[0]
+    for d, (fa, fb) in enumerate(zip(a.higher_faces, b.higher_faces), 1):
+        if fa != fb:  # sorted layers of equal length
+            extra = min(set(fa).symmetric_difference(fb))
             side = "first" if extra in fa else "second"
-            return f"dimension-{d + 1} face {extra} only in {side} link"
+            return f"dimension-{d} face {extra} only in {side} link"
     return None
 
 
@@ -493,6 +494,5 @@ def _planted_same_type_face(link: DescendingLink, size: int) -> tuple[int, ...] 
     last vertex has type 1 is all type 1, and the first such face of the
     sorted layer is the least.  A link holds every labelled face of a
     caret-type multiset or none, so the least one stands for them all."""
-    layers = ([(v,) for v in range(len(link.vertices))], *link.higher_faces)
-    layer = layers[size - 1] if 0 < size <= len(layers) else ()
+    layer = link.to_complex().faces_of_size(size)
     return next((f for f in layer if link.vertices[f[-1]].caret_type == 0), None)

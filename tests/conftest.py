@@ -1,4 +1,5 @@
-"""Shared fixtures: bundled example systems and a seeded graph generator."""
+"""Shared fixtures: bundled example systems, a seeded graph generator and
+the canonical face format check."""
 
 from __future__ import annotations
 
@@ -58,6 +59,16 @@ def amalgam33() -> System:
 @pytest.fixture(scope="session")
 def triple() -> System:
     return make_system(gt.parse_gog((DATA / "triple.gog").read_text()))
+
+
+def assert_canonical(cx: gt.SimplicialComplex) -> None:
+    """Layer s of ``cx`` is a nonempty, strictly increasing tuple of sorted
+    s-vertex tuples, and the vertices are read off the first layer."""
+    for size, layer in enumerate(cx.faces, 1):
+        assert type(layer) is tuple and layer, size
+        assert all(type(f) is tuple and list(f) == sorted(set(f)) and len(f) == size for f in layer)
+        assert all(a < b for a, b in zip(layer, layer[1:])), size
+    assert cx.vertices == tuple(v for (v,) in (cx.faces[0] if cx.faces else ()))
 
 
 def oracle_caret_census(g, gs, nu):

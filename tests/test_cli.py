@@ -222,6 +222,21 @@ def test_amalgam_h12_link_artifact_pinned(amalgam33):
     )
 
 
+def test_amalgam_h12_oracle_agrees(capsys, tmp_path, amalgam33):
+    # an expansion adds at least min(I) = 3 interior vertices, so the oracle
+    # enumerates 3 expansions deep here, not 9, and stays under the tree cap
+    (x,) = gt.sf_vertices_at_height(12, amalgam33.table, amalgam33.base)
+    fast = gt.descending_link(x, amalgam33.table, amalgam33.base)
+    oracle = gt.oracle_descending_link(x, amalgam33.g, amalgam33.gs, amalgam33.t0)
+    assert fast.f_vector == (495, 17325, 5775)
+    assert gt.link_difference(fast, oracle) is None
+    argv = ("--out", str(tmp_path), "desclink", str(DATA / "amalgam33.gog"), "--height", "12", "--oracle")
+    code, _, err = run(capsys, *argv)
+    assert code == 0, err
+    (link,) = json.loads((tmp_path / "desclink.json").read_text())["links"]
+    assert link["oracle_agrees"] is True
+
+
 @pytest.mark.parametrize(
     "argv,digest",
     [
@@ -594,6 +609,9 @@ BAD_INPUTS = {
     "empty gates": ["carets", LOOP, "--gates="],
     "empty order": ["carets", LOOP, "--default-gates", "--order="],
     "empty root": ["viral", str(DATA / "amalgam33.gog"), "--root="],
+    "missing height": ["desclink", LOOP],
+    "non-integer height": ["desclink", LOOP, "--height", "x"],
+    "unknown command": ["frobnicate", LOOP],
 }
 
 
@@ -608,3 +626,20 @@ def test_bad_input_exits_one(capsys, tmp_path, argv):
     assert err.startswith("error: ") and err.count("\n") == 1, err
     # the message points at CLI steps, never at a library function
     assert not set(re.findall(r"\w+", err)) & {n for n in gt.__all__ if "_" in n}, err
+
+
+def test_usage_error_exit_codes():
+    # argparse exits 2, the cap code, on a usage error; the process exits 1
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
+
+    def cli_process(*argv):
+        cmd = [sys.executable, "-m", "gogtool.cli", *argv]
+        return subprocess.run(cmd, env=env, capture_output=True, text=True)
+
+    bad = cli_process("desclink", LOOP)
+    assert bad.returncode == 1 and bad.stdout == ""
+    assert bad.stderr == "error: gogtool desclink: the following arguments are required: --height\n"
+    helped = cli_process("desclink", "--help")
+    assert helped.returncode == 0 and helped.stderr == ""
+    assert helped.stdout.startswith("usage: gogtool desclink")

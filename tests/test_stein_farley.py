@@ -27,7 +27,7 @@ from gogtool.stein_farley import (
     sf_vertices_at_height_enumerated,
 )
 
-from conftest import System, forced_completion, make_system, random_gog
+from conftest import System, assert_canonical, forced_completion, make_system, random_gog
 
 
 def xv(interior, leaves):
@@ -123,6 +123,16 @@ def test_oracle_equivalence_bs23_aug_base(bs23_aug: System):
     slow = oracle_descending_link(x, bs23_aug.g, bs23_aug.gs, bs23_aug.t0)
     assert fast.f_vector == (0,)
     assert link_difference(fast, slow) is None
+
+
+def test_link_complex_holds_the_links_own_layers(loop33: System, amalgam33: System):
+    for sys, h, f_vector in ((loop33, 14, (1470, 73500)), (amalgam33, 12, (495, 17325, 5775))):
+        (x,) = sf_vertices_at_height(h, sys.table, sys.base)
+        link = descending_link(x, sys.table, sys.base)
+        cx = link.to_complex()
+        assert_canonical(cx)
+        assert cx.f_vector() == link.f_vector == f_vector
+        assert all(a is b for a, b in zip(cx.faces[1:], link.higher_faces, strict=True))
 
 
 def test_link_difference_reports_witness(loop33: System):
