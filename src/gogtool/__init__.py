@@ -83,6 +83,7 @@ from .simplicial import (
 from .stein_farley import (
     DescendingLink,
     LinkReport,
+    LinkSpec,
     LinkVertex,
     descending_link,
     link_connectivity_report,

@@ -626,8 +626,8 @@ def enumerate_admissible(
     placements: dict[Address, tuple[frozenset[Address], list[Address], CountVector]] = {}
     # each patch carries its leaf list, which both growth and sorting read
     seen: dict[frozenset[Address], TreePatch] = {t0.interior: t0}
-    frontier = [t0]
-    for _ in range(max_expansions):
+    frontier, held = [t0], [1]  # held: the trees of each finished depth
+    for depth in range(1, max_expansions + 1):
         nxt: list[TreePatch] = []
         for t in frontier:
             for i, leaf in enumerate(t._leaf_list):
@@ -642,10 +642,12 @@ def enumerate_admissible(
                     seen[grown] = _grow(t, i, grown, placed, delta)
                     if len(seen) > max_trees:
                         raise CapExceeded(
-                            f"enumeration exceeded the cap of {max_trees} trees"
+                            f"enumeration exceeded the cap of {max_trees} trees while growing "
+                            f"depth {depth} (depths 0..{depth - 1} held {', '.join(map(str, held))} trees)"
                         )
                     nxt.append(seen[grown])
         frontier = nxt
+        held.append(len(nxt))
     return sorted(seen.values(), key=TreePatch.sort_key)
 
 

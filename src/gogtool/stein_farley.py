@@ -4,33 +4,23 @@ A vertex of the expansion complex is an equivalence class of admissible
 trees determined by its count vector, so a count class is a
 ``CountVector``; its height is the total number of leaves.  A descending
 move contracts a caret whose terminal leaves sit inside the tree's leaf
-set, so the descending link is a matching-style complex: vertices are
-(caret type, labelled leaf subset) pairs, and a set of them spans a face
-iff the subsets are pairwise disjoint and the residual counts are
-realizable with enough residual leaves of each type to re-attach every
-removed caret.
+set, so the descending link is a matching-type complex, described by a
+``LinkSpec``: carets on pairwise disjoint leaf slots whose caret-type
+multisets lie in a downward-closed set A.  Leaf slots within a type are
+interchangeable positions 1..L_i; any type-preserving relabelling of
+leaves is realised by an actual rearrangement, which is what justifies
+working with labelled slots.
 
-Leaf slots within a type are interchangeable positions 1..L_i; any
-type-preserving relabelling of leaves is realised by an actual
-rearrangement, which is what justifies working with labelled subsets.
-So a face is fixed by its caret-type multiset mu plus a slot assignment,
-and one builder, ``_link``, turns the allowed mu into their labelled
-faces.  It extends each face by the vertices of one type that hold none
-of its slots, read off per-slot vertex bitsets, so its time follows the
-faces it emits.  Its sorted layers are read in place, as the higher
-layers of ``to_complex()`` and in the JSON form, which copies no face.
-The two constructions differ only in where the
-downward-closed set of allowed mu comes from: the fast path reads it off
-the histories of the count class (only claimed for systems with the
-viral expansion property), while the definition-level oracle reads it
-off an explicit tree enumeration and is compared against the fast path.
-The connectivity report reads only the link and the threshold constants
-it is given, the planted ground face included; the constants are
-computed once per run.
+The fast path reads A off the histories of the count class (only
+claimed for systems with the viral expansion property), the
+definition-level oracle off an explicit tree enumeration, and the two
+are compared by their A.  The connectivity report reads the link and
+the threshold constants it is given, computed once per run.
 """
 
 from __future__ import annotations
 
+import bisect
 import heapq
 import itertools
 import math
@@ -131,26 +121,22 @@ class LinkVertex:
 
 @dataclass(frozen=True)
 class DescendingLink:
-    """The descending link of a count-class vertex.
+    """The descending link of a count-class vertex, built from ``spec``.
 
     ``higher_faces[d-1]`` holds the dimension-d faces as increasing tuples
     of indices into ``vertices``, and each layer is sorted.  Dimension-0
-    faces are the vertices themselves.  The complex, its maximal faces
-    and the JSON form read these layers in place: nothing is copied.
+    faces are the vertices themselves.  The complex and the JSON form read
+    these layers in place: nothing is copied.
     """
 
     x: CountVector
+    spec: LinkSpec
     vertices: tuple[LinkVertex, ...]
     higher_faces: tuple[tuple[tuple[int, ...], ...], ...]
 
     @property
     def f_vector(self) -> tuple[int, ...]:
         return (len(self.vertices),) + tuple(len(fs) for fs in self.higher_faces)
-
-    @property
-    def maximal_faces(self) -> tuple[tuple[int, ...], ...]:
-        """The faces that are no facet of a face one size larger."""
-        return self.to_complex().maximal_faces
 
     def to_complex(self) -> SimplicialComplex:
         """The link on its vertex indices, holding its own higher layers."""
@@ -163,112 +149,128 @@ class DescendingLink:
             "height": self.x.height,
             "f_vector": list(self.f_vector),
             "vertices": [v.to_json_dict() for v in self.vertices],
-            "maximal_faces": self.maximal_faces,
+            "maximal_faces": self.to_complex().maximal_faces,
         }
 
 
-def _link(x: CountVector, table: CaretTable, allowed: Collection[tuple[int, ...]]) -> DescendingLink:
-    """The link whose faces are the labelled faces of the nonzero
-    caret-type multisets mu in the downward-closed set ``allowed``.
+@dataclass(frozen=True)
+class LinkSpec:
+    """The matching-type complex X(L, M, A) that a descending link is.
 
-    Each type j with e_j in ``allowed`` contributes its vertices in
-    LinkVertex order, so types occupy increasing index ranges [lo, hi).  A
-    leaf slot is a (type, position) pair, and ``users[j][s]`` is the
-    bitset of the type-j vertices holding slot s, bit v - lo for vertex v.
-    These bitsets take O(slots x |V|) bits; no per-vertex conflict set
-    (O(|V|^2) bits) is kept.
+    A type-j caret takes M_ij of the L_i leaf slots of type i.  Carets
+    span a face iff their slots are pairwise disjoint and their caret-type
+    multiset mu is in ``allowed``, the set A.  A link's A is nonzero,
+    downward closed and fits (M mu <= L for every mu in it); ``f_vector``
+    and ``build`` assume the first two.
 
-    Layer s holds the faces of the mu of size s in ``allowed``.  A face of
-    mu is a face of mu - e_j, j the largest type in mu, plus a type-j
-    vertex past its last index that holds none of its slots.  Those
-    vertices are the range [max(lo, last + 1), hi) minus the OR of
-    ``users[j][s]`` over the face's slots, so the cost follows the faces
-    emitted rather than the vertices scanned.  The last vertex of a face
-    of mu has type j, and removing it leaves the face it grew from; so
-    each face is built exactly once, as an increasing index tuple.  The
-    parent faces come in increasing order and the set bits are walked
-    upward, so the faces of one mu come out increasing, and merging those
-    runs sorts a layer.
+    A link in such a complex is again one (Bjorner, Lovasz, Vrecica and
+    Zivaljevic 1994; Jonsson 2008): for a face tau of multiset nu, with
+    the slots tau leaves free renumbered in order within each type,
+    lk(tau) = X(L - M nu, M, {mu - nu : mu in A, mu >= nu, mu != nu}).
     """
-    k = len(x.leaves)
-    units = [tuple(int(t == j) for t in range(k)) for j in range(k)]
-    vertices, slots, spans = [], [], {}
-    for j in (j for j in range(k) if units[j] in allowed):
-        lo = len(vertices)
-        for choice in itertools.product(
-            *(itertools.combinations(range(n), table.M[i][j]) for i, n in enumerate(x.leaves))
-        ):
-            vertices.append(LinkVertex(j, choice))
-            slots.append(tuple(s * k + i for i in range(k) for s in choice[i]))
-        spans[j] = (lo, len(vertices))
-    # built from byte arrays: OR-ing one bit at a time into an int is
-    # quadratic in |V|
-    width = max(x.leaves, default=0) * k
-    users = {}
-    for j, (lo, hi) in spans.items():
-        bits = [bytearray((hi - lo + 7) // 8) for _ in range(width)]
-        for v in range(lo, hi):
-            for s in slots[v]:
-                bits[s][(v - lo) >> 3] |= 1 << ((v - lo) & 7)
-        users[j] = [int.from_bytes(b, "little") for b in bits]
-    # faces index through one shared tuple, so equal indices are one int object
-    ids = tuple(range(len(vertices)))
-    layer = {units[j]: [(v,) for v in ids[lo:hi]] for j, (lo, hi) in spans.items()}
-    higher = []
-    for size in range(2, max(map(sum, allowed), default=0) + 1):
-        kept = {}
-        for mu in (mu for mu in allowed if sum(mu) == size):
-            j = max(i for i in range(k) if mu[i])
-            lo, hi = spans[j]
-            uj = users[j]
-            span = (1 << (hi - lo)) - 1
-            faces = kept[mu] = []
-            for face in layer[tuple(n - (t == j) for t, n in enumerate(mu))]:
-                blocked = 0
-                for v in face:
-                    for s in slots[v]:
-                        blocked |= uj[s]
-                start = max(lo, face[-1] + 1)
-                free = (span & ~blocked) >> (start - lo)
-                while free:
-                    low = free & -free
-                    faces.append(face + (ids[start + low.bit_length() - 1],))
-                    free ^= low
-        higher.append(tuple(heapq.merge(*kept.values())))
-        layer = kept
-    return DescendingLink(x, tuple(vertices), tuple(higher))
 
+    leaves: tuple[int, ...]
+    M: tuple[tuple[int, ...], ...]
+    allowed: Collection[tuple[int, ...]]
 
-def link_f_vector(
-    x: CountVector, table: CaretTable, allowed: Collection[tuple[int, ...]]
-) -> tuple[int, ...]:
-    """The f-vector of ``_link(x, table, allowed)``, counted without
-    building it.
+    def f_vector(self) -> tuple[int, ...]:
+        """The f-vector of ``build``, counted without building.
 
-    A face of mu is a set of carets, mu_j of type j, on pairwise disjoint
-    leaf-slot subsets, a type-j caret taking M_ij slots of each type i.
-    With u_i = sum_j M_ij mu_j slots of type i used, the carets taken in a
-    fixed order fill those slots in L_i! / (L_i - u_i)! ordered ways, each
-    caret's slots unordered within it; carets of one type are distinct (a
-    caret holds at least one slot: no column of M is zero), so unordering
-    them divides by mu_j!:
+        A face of mu is a set of carets, mu_j of type j, on pairwise disjoint
+        leaf-slot subsets, a type-j caret taking M_ij slots of each type i.
+        With u_i = sum_j M_ij mu_j slots of type i used, the carets taken in a
+        fixed order fill those slots in L_i! / (L_i - u_i)! ordered ways, each
+        caret's slots unordered within it; carets of one type are distinct (a
+        caret holds at least one slot: no column of M is zero), so unordering
+        them divides by mu_j!:
 
-        prod_i L_i! / ((L_i - u_i)! prod_j (M_ij!)^mu_j) / prod_j mu_j!
+            prod_i L_i! / ((L_i - u_i)! prod_j (M_ij!)^mu_j) / prod_j mu_j!
 
-    faces, and none when some u_i > L_i.  Dimension d sums it over the mu
-    of size d + 1 in ``allowed``.
-    """
-    k = len(x.leaves)
-    f = [0] * max(max(map(sum, allowed), default=0), 1)
-    for mu in allowed:
-        faces = math.prod(
-            math.perm(n, sum(table.M[i][j] * mu[j] for j in range(k))) for i, n in enumerate(x.leaves)
-        )
-        ways = math.prod(
-            math.factorial(table.M[i][j]) ** mu[j] for i in range(k) for j in range(k)
-        ) * math.prod(map(math.factorial, mu))
-        f[sum(mu) - 1] += faces // ways
-    return tuple(f)
+        faces, and none when some u_i > L_i.  Dimension d sums it over the mu
+        of size d + 1 in ``allowed``.
+        """
+        k = len(self.leaves)
+        f = [0] * max(max(map(sum, self.allowed), default=0), 1)
+        for mu in self.allowed:
+            faces = math.prod(
+                math.perm(n, sum(self.M[i][j] * mu[j] for j in range(k))) for i, n in enumerate(self.leaves)
+            )
+            ways = math.prod(
+                math.factorial(self.M[i][j]) ** mu[j] for i in range(k) for j in range(k)
+            ) * math.prod(map(math.factorial, mu))
+            f[sum(mu) - 1] += faces // ways
+        return tuple(f)
+
+    def build(self, x: CountVector) -> DescendingLink:
+        """The link of x, whose leaves are L: the labelled faces of every
+        mu in ``allowed``.
+
+        Each type j with e_j in ``allowed`` contributes its vertices in
+        LinkVertex order, so types occupy increasing index ranges [lo, hi).  A
+        leaf slot is a (type, position) pair, and ``users[j][s]`` is the
+        bitset of the type-j vertices holding slot s, bit v - lo for vertex v.
+        These bitsets take O(slots x |V|) bits; no per-vertex conflict set
+        (O(|V|^2) bits) is kept.
+
+        Layer s holds the faces of the mu of size s in ``allowed``.  A face of
+        mu is a face of mu - e_j, j the largest type in mu, plus a type-j
+        vertex past its last index that holds none of its slots.  Those
+        vertices are the range [max(lo, last + 1), hi) minus the OR of
+        ``users[j][s]`` over the face's slots, so the cost follows the faces
+        emitted rather than the vertices scanned.  The last vertex of a face
+        of mu has type j, and removing it leaves the face it grew from; so
+        each face is built exactly once, as an increasing index tuple.  The
+        parent faces come in increasing order and the set bits are walked
+        upward, so the faces of one mu come out increasing, and merging those
+        runs sorts a layer.
+        """
+        k = len(self.leaves)
+        units = [tuple(int(t == j) for t in range(k)) for j in range(k)]
+        vertices, slots, spans = [], [], {}
+        for j in (j for j in range(k) if units[j] in self.allowed):
+            lo = len(vertices)
+            for choice in itertools.product(
+                *(itertools.combinations(range(n), self.M[i][j]) for i, n in enumerate(self.leaves))
+            ):
+                vertices.append(LinkVertex(j, choice))
+                slots.append(tuple(s * k + i for i in range(k) for s in choice[i]))
+            spans[j] = (lo, len(vertices))
+        # built from byte arrays: OR-ing one bit at a time into an int is
+        # quadratic in |V|
+        width = max(self.leaves, default=0) * k
+        users = {}
+        for j, (lo, hi) in spans.items():
+            bits = [bytearray((hi - lo + 7) // 8) for _ in range(width)]
+            for v in range(lo, hi):
+                for s in slots[v]:
+                    bits[s][(v - lo) >> 3] |= 1 << ((v - lo) & 7)
+            users[j] = [int.from_bytes(b, "little") for b in bits]
+        # faces index through one shared tuple, so equal indices are one int object
+        ids = tuple(range(len(vertices)))
+        layer = {units[j]: [(v,) for v in ids[lo:hi]] for j, (lo, hi) in spans.items()}
+        higher = []
+        for size in range(2, max(map(sum, self.allowed), default=0) + 1):
+            kept = {}
+            for mu in (mu for mu in self.allowed if sum(mu) == size):
+                j = max(i for i in range(k) if mu[i])
+                lo, hi = spans[j]
+                uj = users[j]
+                span = (1 << (hi - lo)) - 1
+                faces = kept[mu] = []
+                for face in layer[tuple(n - (t == j) for t, n in enumerate(mu))]:
+                    blocked = 0
+                    for v in face:
+                        for s in slots[v]:
+                            blocked |= uj[s]
+                    start = max(lo, face[-1] + 1)
+                    free = (span & ~blocked) >> (start - lo)
+                    while free:
+                        low = free & -free
+                        faces.append(face + (ids[start + low.bit_length() - 1],))
+                        free ^= low
+            higher.append(tuple(heapq.merge(*kept.values())))
+            layer = kept
+        return DescendingLink(x, self, tuple(vertices), tuple(higher))
 
 
 def descending_link(
@@ -281,21 +283,21 @@ def descending_link(
     """Fast-path construction of the descending link from count data only.
 
     The allowed caret-type multisets are read off the histories of x by
-    ``allowed_multisets``, one ``realizable`` search per link; the size
-    check and ``_link`` both read that set.  Before anything is built, the
-    f-vector that ``link_f_vector`` predicts is checked against
-    ``max_vertices`` and then, when ``homology_dim`` is given, against the
-    cell cap of ``homology`` up to that dimension; either refusal names
-    that f-vector.  Only claimed for systems with the viral expansion
-    property; the oracle below validates the reduction at desk scale.
+    ``allowed_multisets``, one ``realizable`` search per link, into the
+    link's spec.  Before anything is built, the f-vector that the spec
+    predicts is checked against ``max_vertices`` and then, when
+    ``homology_dim`` is given, against the cell cap of ``homology`` up to
+    that dimension; either refusal names that f-vector.  Only claimed for
+    systems with the viral expansion property; the oracle below validates
+    the reduction at desk scale.
     """
     if not is_viral(table, base):
         raise ValidationError(
             "the fast-path descending link needs the viral expansion property; "
             "run `gogtool viral` on this system"
         )
-    allowed = allowed_multisets(x, table, base)
-    f_vector = link_f_vector(x, table, allowed)
+    spec = LinkSpec(x.leaves, table.M, allowed_multisets(x, table, base))
+    f_vector = spec.f_vector()
     if f_vector[0] > max_vertices:
         raise CapExceeded(
             f"descending link would have more than {max_vertices} vertices; "
@@ -303,7 +305,7 @@ def descending_link(
         )
     if homology_dim is not None:
         check_homology_cells(f_vector, homology_dim)
-    return _link(x, table, allowed)
+    return spec.build(x)
 
 
 # -- definition-level oracle ---------------------------------------------
@@ -347,9 +349,10 @@ def oracle_descending_link(
     Enumerates every admissible tree with the counts of x and reads off
     the caret-type multiset of every set of removable carets.  Every
     type-preserving leaf matching is realised by a rearrangement, so each
-    multiset contributes all its labelled faces, which ``_link`` builds as
-    on the fast path; the multisets found are downward closed, so they
-    are its allowed set as they stand.
+    multiset contributes all its labelled faces, which the spec builds as
+    on the fast path.  The multisets found are downward closed and fit,
+    since their carets sit in a tree with the leaves of x; less the zero
+    multiset (the empty set of carets), they are its allowed set.
 
     The enumeration goes (x.interior - t0.interior) // min(I) expansions
     deep: an expansion of type j adds I_j >= min(I) interior vertices, so
@@ -368,27 +371,23 @@ def oracle_descending_link(
                 continue
             types = [j for _, j in _removable_carets(t, t0)]
             mus.update(itertools.product(*(range(types.count(j) + 1) for j in range(gs.k))))
-    return _link(x, table, mus)
+    return LinkSpec(x.leaves, table.M, frozenset(mus) - {(0,) * gs.k}).build(x)
 
 
 def link_difference(a: DescendingLink, b: DescendingLink) -> str | None:
-    """None when the links are equal as labelled complexes (canonical
-    vertex order); otherwise a minimal witness of the mismatch."""
+    """None when the links are equal as labelled complexes; otherwise a
+    minimal witness.  Links are equal iff their L, M and A are: the link
+    is built from them, and A is read back off it, as every mu in A fits
+    (M mu <= L) and so has a face whose vertex types give back mu."""
     if a.x != b.x:
         return f"different count classes: {a.x} vs {b.x}"
-    if a.vertices != b.vertices:
-        sa, sb = set(a.vertices), set(b.vertices)
-        extra = sorted(sa ^ sb)[0]
-        side = "first" if extra in sa else "second"
-        return f"vertex {extra} only in {side} link"
-    if a.f_vector != b.f_vector:
-        return f"f-vectors differ: {a.f_vector} vs {b.f_vector}"
-    for d, (fa, fb) in enumerate(zip(a.higher_faces, b.higher_faces), 1):
-        if fa != fb:  # sorted layers of equal length
-            extra = min(set(fa).symmetric_difference(fb))
-            side = "first" if extra in fa else "second"
-            return f"dimension-{d} face {extra} only in {side} link"
-    return None
+    if a.spec.M != b.spec.M:
+        return f"caret tables differ: {a.spec.M} vs {b.spec.M}"
+    extra = min(set(a.spec.allowed).symmetric_difference(b.spec.allowed), default=None)
+    if extra is None:
+        return None
+    side = "first" if extra in a.spec.allowed else "second"
+    return f"caret-type multiset {extra} only in {side} link"
 
 
 # -- connectivity reports -----------------------------------------------
@@ -490,9 +489,10 @@ def link_connectivity_report(link: DescendingLink, thresholds: Sequence[Threshol
 
 def _planted_same_type_face(link: DescendingLink, size: int) -> tuple[int, ...] | None:
     """The least face of ``size`` type-1 carets in the link, or None.
-    Types occupy increasing index ranges, type 1 first, so a face whose
-    last vertex has type 1 is all type 1, and the first such face of the
-    sorted layer is the least.  A link holds every labelled face of a
-    caret-type multiset or none, so the least one stands for them all."""
-    layer = link.to_complex().faces_of_size(size)
-    return next((f for f in layer if link.vertices[f[-1]].caret_type == 0), None)
+    The link holds one iff size e_1 is in A.  Vertices sort by type, then
+    slots, so caret c of it takes the slot block c M_i1 .. (c + 1) M_i1 - 1
+    of each type i (A fits, so the blocks do), found by bisection."""
+    if (size,) + (0,) * (len(link.x.leaves) - 1) not in link.spec.allowed:
+        return None
+    blocks = (tuple(tuple(range(c * m[0], c * m[0] + m[0])) for m in link.spec.M) for c in range(size))
+    return tuple(bisect.bisect_left(link.vertices, LinkVertex(0, slots)) for slots in blocks)

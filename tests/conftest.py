@@ -1,5 +1,5 @@
-"""Shared fixtures: bundled example systems, a seeded graph generator and
-the canonical face format check."""
+"""Shared fixtures: bundled example systems, a seeded graph generator,
+the canonical face format check and the link spec invariant."""
 
 from __future__ import annotations
 
@@ -69,6 +69,19 @@ def assert_canonical(cx: gt.SimplicialComplex) -> None:
         assert all(type(f) is tuple and list(f) == sorted(set(f)) and len(f) == size for f in layer)
         assert all(a < b for a, b in zip(layer, layer[1:])), size
     assert cx.vertices == tuple(v for (v,) in (cx.faces[0] if cx.faces else ()))
+
+
+def assert_spec_holds(link) -> None:
+    """The link's A is nonzero, downward closed and fits (M mu <= L), and
+    its spec counts the built link."""
+    spec = link.spec
+    for mu in spec.allowed:
+        assert any(mu), link.x
+        used = (sum(m * c for m, c in zip(row, mu)) for row in spec.M)
+        assert all(u <= n for u, n in zip(used, spec.leaves)), (link.x, mu)
+        below = (tuple(c - (t == j) for t, c in enumerate(mu)) for j in range(len(mu)) if mu[j])
+        assert all(nu in spec.allowed for nu in below if any(nu)), (link.x, mu)
+    assert spec.f_vector() == link.f_vector, link.x
 
 
 def oracle_caret_census(g, gs, nu):

@@ -13,7 +13,7 @@ from gogtool import cli, simplicial, stein_farley
 from gogtool.cli import main
 from gogtool.stein_farley import DescendingLink
 
-from conftest import DATA
+from conftest import DATA, assert_spec_holds
 
 SRC = DATA.parent / "src"
 
@@ -230,6 +230,8 @@ def test_amalgam_h12_oracle_agrees(capsys, tmp_path, amalgam33):
     oracle = gt.oracle_descending_link(x, amalgam33.g, amalgam33.gs, amalgam33.t0)
     assert fast.f_vector == (495, 17325, 5775)
     assert gt.link_difference(fast, oracle) is None
+    assert_spec_holds(fast)
+    assert_spec_holds(oracle)
     argv = ("--out", str(tmp_path), "desclink", str(DATA / "amalgam33.gog"), "--height", "12", "--oracle")
     code, _, err = run(capsys, *argv)
     assert code == 0, err
@@ -494,6 +496,23 @@ def test_cap_exceeded_exits_two(capsys):
     assert "cap exceeded" in err
 
 
+def test_tree_cap_says_how_far_it_got(capsys):
+    # the depth being grown, and the trees each finished depth added
+    loop = str(DATA / "loop33.gog")
+    code, out, err = run(capsys, "enumerate", loop, "--max-expansions", "5", "--max-trees", "1000")
+    assert (code, out) == (2, "")
+    assert err == (
+        "cap exceeded: enumeration exceeded the cap of 1000 trees while growing depth 4 "
+        "(depths 0..3 held 1, 6, 45, 380 trees)\n"
+    )
+    code, out, err = run(capsys, "desclink", loop, "--height", "14", "--oracle", "--max-trees", "20")
+    assert (code, out) == (2, "")
+    assert err == (
+        "cap exceeded: enumeration exceeded the cap of 20 trees while growing depth 2 "
+        "(depths 0..1 held 1, 6 trees)\n"
+    )
+
+
 def test_out_of_memory_exits_two(capsys, monkeypatch):
     def exhausted(*args, **kwargs):
         raise MemoryError
@@ -528,14 +547,14 @@ def test_homology_cell_cap_refuses_before_building(capsys, monkeypatch):
     # the height-15 link has f = (1365, 225225, 2627625): its d_2 is over
     # the cap, which the predicted f-vector shows before any face is built
     built = 0
-    build = stein_farley._link
+    build = stein_farley.LinkSpec.build
 
     def counted(*args):
         nonlocal built
         built += 1
         return build(*args)
 
-    monkeypatch.setattr(stein_farley, "_link", counted)
+    monkeypatch.setattr(stein_farley.LinkSpec, "build", counted)
     code, out, err = run(capsys, "desclink", str(DATA / "amalgam33.gog"), "--height", "15")
     assert code == 2
     assert out == ""

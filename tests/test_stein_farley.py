@@ -3,7 +3,6 @@ import itertools
 import json
 import random
 from collections import Counter
-from types import SimpleNamespace
 
 import pytest
 
@@ -13,21 +12,20 @@ from gogtool.count_algebra import elementary_expansion_ok
 from gogtool.errors import CapExceeded, ValidationError
 from gogtool.stein_farley import (
     DescendingLink,
+    LinkSpec,
     LinkVertex,
-    _link,
     _planted_same_type_face,
     _removable_carets,
     descending_link,
     is_viral,
     link_connectivity_report,
     link_difference,
-    link_f_vector,
     oracle_descending_link,
     sf_vertices_at_height,
     sf_vertices_at_height_enumerated,
 )
 
-from conftest import System, assert_canonical, forced_completion, make_system, random_gog
+from conftest import System, assert_canonical, assert_spec_holds, forced_completion, make_system, random_gog
 
 
 def xv(interior, leaves):
@@ -113,6 +111,8 @@ def test_oracle_equivalence_small_heights(loop33: System, amalgam33: System):
                 fast = descending_link(x, sys.table, sys.base)
                 slow = oracle_descending_link(x, sys.g, sys.gs, sys.t0)
                 assert link_difference(fast, slow) is None
+                assert_spec_holds(fast)
+                assert_spec_holds(slow)
                 nonempty += bool(fast.vertices)
     assert nonempty == 2  # loop(3,3) h10 (200 vertices), amalgam(3,3) h6 (15)
 
@@ -123,6 +123,8 @@ def test_oracle_equivalence_bs23_aug_base(bs23_aug: System):
     slow = oracle_descending_link(x, bs23_aug.g, bs23_aug.gs, bs23_aug.t0)
     assert fast.f_vector == (0,)
     assert link_difference(fast, slow) is None
+    assert_spec_holds(fast)
+    assert_spec_holds(slow)
 
 
 def test_link_complex_holds_the_links_own_layers(loop33: System, amalgam33: System):
@@ -137,7 +139,8 @@ def test_link_complex_holds_the_links_own_layers(loop33: System, amalgam33: Syst
 
 def test_link_difference_reports_witness(loop33: System):
     link = descending_link(xv(2, (5, 5)), loop33.table, loop33.base)
-    smaller = DescendingLink(link.x, link.vertices[:-1], link.higher_faces)
+    spec = link.spec
+    smaller = LinkSpec(spec.leaves, spec.M, spec.allowed - {max(spec.allowed)}).build(link.x)
     diff = link_difference(link, smaller)
     assert diff is not None and "only in first" in diff
     other = descending_link(xv(1, (3, 3)), loop33.table, loop33.base)
@@ -228,10 +231,10 @@ def kept_by_definition(keep, k: int, top: int) -> list[tuple[int, ...]]:
 
 
 def check_link(M, leaves, allowed, brute) -> int:
-    """Compare ``_link`` on the downward-closed set ``allowed`` with the
-    definition; return its face count."""
-    link = _link(xv(0, leaves), SimpleNamespace(M=M), allowed)
-    assert link.f_vector == link_f_vector(xv(0, leaves), SimpleNamespace(M=M), allowed)
+    """Compare the link built from the downward-closed set ``allowed``
+    with the definition; return its face count."""
+    link = LinkSpec(leaves, M, allowed).build(xv(0, leaves))
+    assert link.f_vector == link.spec.f_vector()
     assert list(link.vertices) == sorted(link.vertices)
     assert len(link.higher_faces) == max(map(sum, allowed), default=1) - 1
     index = {v: i for i, v in enumerate(link.vertices)}
@@ -312,13 +315,13 @@ def maximal_by_definition(link: DescendingLink) -> tuple[tuple[int, ...], ...]:
 
 def test_link_maximal_faces_match_complex(loop33: System, amalgam33: System, monkeypatch):
     # every link test_faces_match_definition builds, recorded as it runs
-    built, build = [], _link
+    built, build = [], LinkSpec.build
 
-    def recording(*args):
-        built.append(build(*args))
+    def recording(spec, x):
+        built.append(build(spec, x))
         return built[-1]
 
-    monkeypatch.setitem(globals(), "_link", recording)
+    monkeypatch.setattr(LinkSpec, "build", recording)
     test_faces_match_definition(loop33, amalgam33)
     monkeypatch.undo()
     assert len(built) == 34 * 3
@@ -326,16 +329,17 @@ def test_link_maximal_faces_match_complex(loop33: System, amalgam33: System, mon
         (x,) = sf_vertices_at_height(h, sys.table, sys.base)
         built.append(descending_link(x, sys.table, sys.base))
     mixed = brute = 0
-    for link in built:
-        assert link.maximal_faces == link.to_complex().maximal_faces, link.x
-        mixed += len({len(f) for f in link.maximal_faces}) > 1
+    maximal = [link.to_json_dict()["maximal_faces"] for link in built]
+    for link, faces in zip(built, maximal):
+        assert faces == link.to_complex().maximal_faces, link.x
+        mixed += len({len(f) for f in faces}) > 1
         if sum(link.f_vector) <= 5000:
-            assert link.maximal_faces == maximal_by_definition(link), link.x
+            assert faces == maximal_by_definition(link), link.x
             brute += 1
     assert mixed  # some link has maximal faces of more than one size
     assert brute == len(built) - 2  # all but loop h14 and amalgam h12
-    assert len(built[-3].maximal_faces) == 73500  # loop h14: every edge
-    assert Counter(map(len, built[-1].maximal_faces)) == {3: 5775}  # amalgam h12
+    assert len(maximal[-3]) == 73500  # loop h14: every edge
+    assert Counter(map(len, maximal[-1])) == {3: 5775}  # amalgam h12
 
 
 def test_removable_carets_match_subtree_definition(loop33: System, amalgam33: System, bs23_aug: System):
@@ -387,6 +391,8 @@ def test_fast_link_matches_oracle_on_random_systems():
         except CapExceeded:
             continue
         assert link_difference(link, oracle) is None, (seed, link.x)
+        assert_spec_holds(link)
+        assert_spec_holds(oracle)
         checked.append(seed)
         f_vectors.add(link.f_vector)
         if len(checked) == 20:
@@ -423,6 +429,8 @@ def test_fast_link_edges_match_oracle_on_random_systems():
         except CapExceeded:
             continue
         assert link_difference(link, oracle) is None, (seed, link.x)
+        assert_spec_holds(link)
+        assert_spec_holds(oracle)
         checked.append(seed)
         f_vectors.add(link.f_vector)
         if len(checked) == 5:
@@ -492,14 +500,22 @@ def test_face_counts_match_closed_form(loop33: System, amalgam33: System):
         link = descending_link(x, sys.table, sys.base)
         assert link.f_vector == f_vector
         allowed = count_algebra.allowed_multisets(x, sys.table, sys.base)
-        assert link_f_vector(x, sys.table, allowed) == f_vector
+        assert LinkSpec(x.leaves, sys.table.M, allowed).f_vector() == f_vector
         k = len(x.leaves)
         types = [v.caret_type for v in link.vertices]
         for faces in [[(i,) for i in range(len(types))], *link.higher_faces]:
             by_mu = Counter(tuple(sum(types[i] == j for i in f) for j in range(k)) for f in faces)
             for mu, n in by_mu.items():
                 # one multiset's faces: the count in its own dimension
-                assert n == link_f_vector(x, sys.table, [mu])[sum(mu) - 1], (h, mu)
+                assert n == LinkSpec(x.leaves, sys.table.M, [mu]).f_vector()[sum(mu) - 1], (h, mu)
+
+
+def planted_by_scan(link: DescendingLink, size: int) -> tuple[int, ...] | None:
+    """The least face of ``size`` type-1 carets, scanned off the built
+    layer: type 1 takes the first index range, so a face whose last
+    vertex has type 1 is all type 1."""
+    layer = link.to_complex().faces_of_size(size)
+    return next((f for f in layer if link.vertices[f[-1]].caret_type == 0), None)
 
 
 def test_planted_face_read_from_link(loop33: System, amalgam33: System, bs23_aug: System):
@@ -521,19 +537,90 @@ def test_planted_face_read_from_link(loop33: System, amalgam33: System, bs23_aug
                 for i in range(1, size + 1)
             )
             sigma = _planted_same_type_face(link, size)
+            assert sigma == planted_by_scan(link, size), (h, size)
             if expected:
                 assert len(sigma) == size and cx.is_face(sigma), (h, size)
                 assert all(link.vertices[i].caret_type == 0 for i in sigma)
                 found += 1
                 if size > 1:
-                    # the face is read from the link: a link built only
-                    # below dimension size-1 does not hold it
-                    low = DescendingLink(x, link.vertices, link.higher_faces[: size - 2])
+                    # the face is read from the spec: a link whose A is cut
+                    # below size does not hold it
+                    cut = {mu for mu in link.spec.allowed if sum(mu) < size}
+                    low = LinkSpec(x.leaves, sys.table.M, cut).build(x)
                     assert _planted_same_type_face(low, size) is None
+                    assert planted_by_scan(low, size) is None
             else:
                 assert sigma is None, (h, size)
                 missing += 1
     assert found and missing
+
+
+def relabelled_link(link: DescendingLink, tau: tuple[int, ...]) -> set[frozenset]:
+    """lk(tau) in the built link, straight from its faces, with the slots
+    tau leaves free renumbered in order within each type."""
+    k = len(link.x.leaves)
+    used = [{s for v in tau for s in link.vertices[v].slots[i]} for i in range(k)]
+    free = [[s for s in range(n) if s not in used[i]] for i, n in enumerate(link.x.leaves)]
+    renumber = [{s: r for r, s in enumerate(slots)} for slots in free]
+
+    def relabel(v):
+        u = link.vertices[v]
+        return LinkVertex(u.caret_type, tuple(tuple(renumber[i][s] for s in u.slots[i]) for i in range(k)))
+
+    layers = [[(v,) for v in range(len(link.vertices))], *link.higher_faces]
+    return {
+        frozenset(relabel(v) for v in face if v not in tau)
+        for layer in layers[len(tau) :]
+        for face in layer
+        if all(v in face for v in tau)
+    }
+
+
+def shifted_spec(spec: LinkSpec, nu: tuple[int, ...]) -> LinkSpec:
+    """X(L - M nu, M, {mu - nu : mu in A, mu >= nu, mu != nu}), written out."""
+    leaves = tuple(n - sum(m * c for m, c in zip(row, nu)) for row, n in zip(spec.M, spec.leaves))
+    above = [mu for mu in spec.allowed if mu != nu and all(m >= c for m, c in zip(mu, nu))]
+    return LinkSpec(leaves, spec.M, {tuple(m - c for m, c in zip(mu, nu)) for mu in above})
+
+
+def check_face_links(link: DescendingLink, taus) -> int:
+    """lk(tau) = X(L - M nu, A - nu) for each face tau; and every spec's
+    count is the f-vector of what it builds.  Returns the faces checked."""
+    assert link.spec.f_vector() == link.f_vector
+    k = len(link.x.leaves)
+    for tau in taus:
+        nu = tuple(sum(link.vertices[v].caret_type == j for v in tau) for j in range(k))
+        spec = shifted_spec(link.spec, nu)
+        sub = spec.build(xv(0, spec.leaves))
+        assert sub.f_vector == spec.f_vector(), (link.x, tau)
+        layers = [[(v,) for v in range(len(sub.vertices))], *sub.higher_faces]
+        expected = {frozenset(sub.vertices[v] for v in face) for layer in layers for face in layer}
+        assert relabelled_link(link, tau) == expected, (link.x, tau)
+    return len(taus)
+
+
+def test_face_links_are_shifted_specs(loop33: System, amalgam33: System):
+    # the 30 tables test_faces_match_definition draws, each with every
+    # multiset that fits, and every face of each
+    rng = random.Random(2408)
+    checked = 0
+    for M, leaves in [random_table(rng) for _ in range(30)]:
+
+        def fits(mu):
+            return all(sum(m * c for m, c in zip(row, mu)) <= n for row, n in zip(M, leaves))
+
+        link = LinkSpec(leaves, M, set(kept_by_definition(fits, len(leaves), 6))).build(xv(0, leaves))
+        layers = [[(v,) for v in range(len(link.vertices))], *link.higher_faces]
+        checked += check_face_links(link, [face for layer in layers for face in layer])
+    # the bundled links, on sampled vertices and edges
+    rng = random.Random(22)
+    for sys, h in ((loop33, 10), (loop33, 14), (amalgam33, 9), (amalgam33, 12)):
+        (x,) = sf_vertices_at_height(h, sys.table, sys.base)
+        link = descending_link(x, sys.table, sys.base)
+        taus = [(v,) for v in rng.sample(range(len(link.vertices)), 6)]
+        taus += rng.sample(link.higher_faces[0], 6) if link.higher_faces else []
+        checked += check_face_links(link, taus)
+    assert checked > 300
 
 
 def test_link_builds_hash_no_link_vertices(loop33: System, monkeypatch):
