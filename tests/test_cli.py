@@ -354,11 +354,23 @@ COMPLEX_PIPELINES = [
             "37dd2541827b98ddcd4ce8eec6b005ef26382dc49e50a1f2f0ba3ca995e7066b",
         ),
     ),
+    (
+        (
+            "--seed", "5", "--vertices", "11", "--density", "0.65", "--ground", "3",
+            "--drop", "0.3", "--max-dim", "2",
+        ),
+        ("--sigma", "0,1,2", "-m", "2", "-k", "1"),
+        (
+            "0557affb80bf00a1fe7828660257a0a2a426d2d2359c3920d32630a8ee7f4a7d",
+            "07498d90b96f8e98e64b2a44ab96c6b734e2c5a4225b6b9d2e485b89045cc3de",
+            "97dc338ab03999efa8896749477d630dd4d7e49d7a625ffa54a9660ea553ea56",
+        ),
+    ),
 ]
 
 
 @pytest.mark.parametrize(
-    "complex_args,lemma_args,digests", COMPLEX_PIPELINES, ids=["flag", "bound", "join"]
+    "complex_args,lemma_args,digests", COMPLEX_PIPELINES, ids=["flag", "bound", "join", "drop-cap"]
 )
 def test_complex_pipeline_outputs_pinned(capsys, tmp_path, complex_args, lemma_args, digests):
     cx = tmp_path / "complex.json"

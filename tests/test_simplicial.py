@@ -372,6 +372,8 @@ def test_homology_matches_dense_oracle():
     cases = [(cx, max_dim) for cx in (RP2, HOLLOW, SPHERE, POINTS) for max_dim in (None, 0, 1, 3)]
     # (seed // 2) % 4 varies independently of the mix's drop (seed % 2)
     cases += [(cx, (None, 0, 1, 3)[(seed // 2) % 4]) for seed, cx in enumerate(_crit06_mix())]
+    # sparse graphs of more than 97 edges, whose components hang on single edges
+    cases += [(random_complex(seed, 60, 0.06, max_dim=1), None) for seed in range(10)]
     dims = set()
     for cx, max_dim in cases:
         assert homology(cx, max_dim=max_dim) == dense_homology(cx, max_dim=max_dim), (cx, max_dim)
@@ -725,6 +727,13 @@ def test_random_complex_determinism_and_extremes():
         random_complex(1, 5, 1.5)
 
 
+def test_random_complex_rejects_negative_vertex_count():
+    with pytest.raises(ValidationError, match="vertex count must be at least 0, got -2"):
+        random_complex(1, -2, 0.5)
+    with pytest.raises(ValidationError, match="ground size out of range"):
+        random_complex(1, 2, 0.5, ground=3)
+
+
 def test_random_complex_ground_planted():
     for seed in range(5):
         cx = random_complex(seed, 10, 0.2, ground=4)
@@ -757,3 +766,62 @@ def test_random_complex_layers_are_closed():
         faces = [f for level in cx.faces for f in level]
         assert cx == SimplicialComplex.from_maximal(faces, vertices=cx.vertices), seed
         assert max_dim is None or cx.dimension <= max_dim
+
+
+def random_complex_by_scan(seed, n_vertices, density, ground=0, drop=0.0, max_dim=None):
+    """Test oracle for ``random_complex``: each clique grows by every higher
+    vertex adjacent to all of it that closes no dropped triangle, the
+    definition the bitmask growth must reproduce draw for draw."""
+    rng = random.Random(seed)
+    verts = list(range(n_vertices))
+    adj = {
+        (i, j)
+        for i, j in itertools.combinations(verts, 2)
+        if j < ground or rng.random() < density
+    }
+    cap = n_vertices if max_dim is None else max_dim + 1
+    layers = [tuple((v,) for v in verts)]
+    dropped = set()
+    while layers[-1] and len(layers) < cap:
+        layer = tuple(
+            c + (v,)
+            for c in layers[-1]
+            for v in range(c[-1] + 1, n_vertices)
+            if all((u, v) in adj for u in c)
+            and not any((u, w, v) in dropped for u, w in itertools.combinations(c, 2))
+        )
+        if len(layers) == 2 and drop > 0:
+            dropped = {t for t in layer if t[-1] >= ground and rng.random() < drop}
+            layer = tuple(t for t in layer if t not in dropped)
+        layers.append(layer)
+    return SimplicialComplex(tuple(layer for layer in layers if layer))
+
+
+def test_random_complex_matches_scan_on_criterion_06_mix():
+    # the stratified mix of acceptance criterion 06 that the complexes
+    # benchmark draws: 4 complexes per (vertices, density, ground, drop)
+    for mix_seed in (0, 1):
+        rng = random.Random(mix_seed)
+        for _ in range(4):
+            for args in itertools.product(range(6, 13), (0.35, 0.5, 0.65), (3, 4, 5), (0.0, 0.15)):
+                seed, (n, density, ground, drop) = rng.randrange(2**31), args
+                assert random_complex(seed, n, density, ground=ground, drop=drop) == (
+                    random_complex_by_scan(seed, n, density, ground=ground, drop=drop)
+                ), (seed, args)
+
+
+def test_random_complex_matches_scan_on_random_draws():
+    for seed in range(1200):
+        rng = random.Random(seed)
+        n = rng.randint(0, 14)
+        kwargs = dict(
+            ground=rng.randint(0, n),
+            drop=rng.choice((0.0, 0.15, 0.5, 1.0)),
+            max_dim=rng.choice((None, -1, 0, 1, 2, 3)),
+        )
+        density = rng.choice((0.0, 1.0, rng.random()))
+        assert random_complex(seed, n, density, **kwargs) == (
+            random_complex_by_scan(seed, n, density, **kwargs)
+        ), (seed, n, density, kwargs)
+    for args in ((1, 24, 1.0, 0, 0.0, 2), (2, 16, 0.9, 3, 0.3, 3), (3, 30, 0.5, 5, 0.2, 3)):
+        assert random_complex(*args) == random_complex_by_scan(*args), args
