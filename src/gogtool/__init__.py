@@ -49,14 +49,12 @@ from .model import (
     tree_degrees,
 )
 from .patches import (
-    Caret,
     CaretTable,
     IntervalLattice,
     TreePatch,
     TreeSystem,
     ViralReport,
     base_tree,
-    caret,
     caret_table,
     check_viral,
     enumerate_admissible,

@@ -211,6 +211,11 @@ def dickson_minimal(
     first layer whose in-box points are all dominated (then so are those
     of every later layer).  Monotonicity is spot-checked above each basis
     element and a violation raises ValidationError.
+
+    A complete basis is never empty.  The search completes only at a layer
+    with no gap, and every layer it reaches holds an in-box point.  Every
+    undominated in-box point of that layer is true and joins the basis,
+    and with an empty basis nothing is dominated.
     """
     basis: list[Vec] = []
 
@@ -344,10 +349,6 @@ def _alphas(rho: Sequence[int], table, base: CountVector, box: int, reported: in
             f"partial bound {partial}",
             basis,
             partial,
-        )
-    if not basis.minimal:
-        raise ValidationError(
-            f"collection {tuple(sorted(rho))} is never attachable; no finite bound"
         )
     return tuple(max(b[i] for b in basis.minimal) for i in range(k))
 

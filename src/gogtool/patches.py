@@ -27,10 +27,11 @@ Growth below a vertex depends only on the vertex's entry, so the tree
 system keeps one caret shape per entry, built on first use: the forced
 completion below a vertex with that entry and its leaves, as addresses
 relative to it, and the count delta it adds.  So the shape placed at an
-address (``CaretShape.place``) is a value of the address alone.  An
+address (``TreeSystem.place``) is a value of the address alone.  An
 enumeration places each leaf's caret once, and every patch growing that
 leaf shares the placed leaf addresses: growth is one copy of the
-parent's leaf list plus an O(k) count update.
+parent's leaf list plus an O(k) count update.  The caret table (M, I) is
+read off the shapes of the gate entries.
 ``TreePatch(system, interior)`` validates its interior and walks it for
 the leaves.  Patches grown or combined from other patches (``_grow``,
 ``_combine``) take their interior, leaves and admissibility from their
@@ -82,9 +83,9 @@ class TreeSystem:
     Two more are read off them for leaf addresses: ``step_type[step]``,
     the gate type of the vertex the step enters, and ``ungated_steps``,
     the steps whose child has no gate type.  Step numbers depend on the
-    graph alone.  The caret shape of each entry (``shape``) is filled one
-    entry at a time, on first use, so a shape over the node budget raises
-    only where it is grown.
+    graph alone.  The caret shape of each entry (see ``place``) is filled
+    one entry at a time, on first use, so a shape over the node budget
+    raises only where it is grown.
     """
 
     graph: GraphOfGroups
@@ -155,14 +156,18 @@ class TreeSystem:
         entry = self.entries[self.entry_of(addr)]
         return self.root if entry is None else self.graph.vertex_of(entry)
 
-    def shape(self, entry: int, at: Address) -> CaretShape:
-        """The caret shape of ``entry``, built on first use by
-        ``_build_shape``; ``at``, where it is being grown, names the vertex
-        in a node-budget error."""
+    def place(self, addr: Address) -> tuple[frozenset[Address], list[Address], CountVector]:
+        """The caret shape of ``addr``'s entry grown at ``addr``: its
+        interior addresses as a set (a set operand sizes the table of a set
+        union once, where an iterable would grow it step by step to twice
+        the size), its leaves and its count delta.  The shape is built on
+        first use by ``_build_shape``, and ``addr`` names the vertex in a
+        node-budget error."""
+        entry = self.entry_of(addr)
         shape = self._shapes.get(entry)
         if shape is None:
-            shape = self._shapes[entry] = _build_shape(self, entry, at)
-        return shape
+            shape = self._shapes[entry] = _build_shape(self, entry, addr)
+        return frozenset([addr + a for a in shape.interior]), [addr + a for a in shape.leaves], shape.delta
 
 
 def _leaves(system: TreeSystem, interior: frozenset[Address] | set[Address]) -> list[Address]:
@@ -327,22 +332,17 @@ class CaretShape:
     its ``leaves`` addresses, and ``delta``, what growing it at a leaf with
     that entry adds to the counts: the interior size, then the leaf census
     minus the grown leaf's own type, if it has one.  For a gate entry of
-    type j, delta is (I_j, M column j - e_j).
+    type j, delta is (I_j, M column j - e_j), and ``caret_table`` reads
+    M and I off it.
 
-    Placed at an address (``place``), the shape is a value of the address
-    alone: the entry is read off the address's last step, and the shape
-    off the entry.  So the patches that grow one leaf can share one
-    placement, whose leaf addresses equal those each would build."""
+    Placed at an address (``TreeSystem.place``), the shape is a value of
+    the address alone: the entry is read off the address's last step, and
+    the shape off the entry.  So the patches that grow one leaf can share
+    one placement, whose leaf addresses equal those each would build."""
 
     interior: tuple[Address, ...]
     leaves: tuple[Address, ...]
     delta: CountVector
-
-    def place(self, addr: Address) -> tuple[frozenset[Address], list[Address]]:
-        """The shape grown at ``addr``: its interior addresses as a set (a
-        set operand sizes the table of a set union once, where an iterable
-        would grow it step by step to twice the size), and its leaves."""
-        return frozenset([addr + a for a in self.interior]), [addr + a for a in self.leaves]
 
 
 def _build_shape(system: TreeSystem, entry: int, at: Address) -> CaretShape:
@@ -397,48 +397,12 @@ def base_tree(g: GraphOfGroups, gs: GateSystem, seed: "TreePatch | str") -> Tree
     system.require_admissible()
     grown = set(seed.interior)
     for a in seed._leaf_list:
-        e = system.entry_of(a)
-        if system.gate_type[e] is None:
-            grown.update(system.shape(e, a).place(a)[0])
+        if system.gate_type[system.entry_of(a)] is None:
+            grown.update(system.place(a)[0])
     return TreePatch(system, frozenset(grown))
 
 
 # -- carets ----------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class Caret:
-    """The unique minimal expansion beyond a leaf of a given gate type:
-    its terminal-leaf census by entry half-edge and its interior count."""
-
-    gate: HalfEdge
-    terminal_leaf_types: tuple[tuple[HalfEdge, int], ...]
-    interior_count: int
-
-
-def caret(g: GraphOfGroups, gs: GateSystem, nu: HalfEdge) -> Caret:
-    """Grow the caret of gate type ``nu`` in a system rooted at
-    ``vertex_of(opp(nu))`` (see ``_caret``)."""
-    if nu not in gs:
-        raise ValidationError(f"{nu} is not a gate of the system")
-    return _caret(TreeSystem(g, gs, root=g.vertex_of(nu.opposite())), nu)
-
-
-def _caret(system: TreeSystem, nu: HalfEdge) -> Caret:
-    """The caret of gate ``nu``: the shape of entry ``nu``, the vertex
-    expanded to full degree and every new leaf whose entry is not a gate
-    expanded in turn.  A shape is the same wherever it grows and whatever
-    the root is, so it is named, in a node-budget error, at the step
-    ``(opp(nu), 0)``, which is entered through ``nu``.
-    """
-    step = system.steps.index((nu.opposite(), 0))
-    shape = system.shape(system.step_entry[step], (step,))
-    census = Counter(system.step_entry[a[-1]] for a in shape.leaves)
-    return Caret(
-        gate=nu,
-        terminal_leaf_types=tuple((system.entries[e], n) for e, n in sorted(census.items())),
-        interior_count=len(shape.interior),
-    )
 
 
 @dataclass(frozen=True)
@@ -448,7 +412,6 @@ class CaretTable:
     gates: tuple[HalfEdge, ...]
     M: tuple[tuple[int, ...], ...]
     I: tuple[int, ...]
-    carets: tuple[Caret, ...]
 
     def column(self, j: int) -> tuple[int, ...]:
         return tuple(self.M[i][j] for i in range(len(self.gates)))
@@ -460,24 +423,27 @@ class CaretTable:
             "I": list(self.I),
             "carets": [
                 {
-                    "gate": str(c.gate),
-                    "interior": c.interior_count,
-                    "terminal_leaves": {str(h): n for h, n in c.terminal_leaf_types},
+                    "gate": str(nu),
+                    "interior": self.I[j],
+                    "terminal_leaves": {str(h): row[j] for h, row in zip(self.gates, self.M) if row[j]},
                 }
-                for c in self.carets
+                for j, nu in enumerate(self.gates)
             ],
         }
 
 
 def caret_table(g: GraphOfGroups, gs: GateSystem) -> CaretTable:
-    """Assemble M and I column-wise from the carets of all gate types,
-    grown in one tree system (any root will do, see ``_caret``)."""
+    """Read M and I off the shapes of the gate entries, grown in one tree
+    system.  The caret of gate nu_j is the shape of entry nu_j, placed at
+    the step (opp(nu_j), 0), which is entered through nu_j; a shape is the
+    same wherever it grows and whatever the root is, so any root will do,
+    and the step names it in a node-budget error.  Its delta is
+    (I_j, M column j - e_j)."""
     # no gates, no carets: the tree model is neither built nor checked
     system = TreeSystem(g, gs, root=g.vertices[0]) if gs.gates else None
-    carets = tuple(_caret(system, nu) for nu in gs.gates)
-    columns = [dict(c.terminal_leaf_types) for c in carets]
-    m_rows = tuple(tuple(col.get(h, 0) for col in columns) for h in gs.gates)
-    return CaretTable(gs.gates, m_rows, tuple(c.interior_count for c in carets), carets)
+    deltas = [system.place((system.steps.index((nu.opposite(), 0)),))[2] for nu in gs.gates]
+    m_rows = tuple(tuple(d.leaves[i] + (i == j) for j, d in enumerate(deltas)) for i in range(gs.k))
+    return CaretTable(gs.gates, m_rows, tuple(d.interior for d in deltas))
 
 
 # -- expansions, histories, counts ----------------------------------------
@@ -494,9 +460,8 @@ def expand_leaf(t: TreePatch, leaf: Address) -> TreePatch:
     entry = system.entry_of(leaf)
     if system.gate_type[entry] is None:
         raise ValidationError(f"leaf {leaf} has no gate type (entry {system.entries[entry]})")
-    shape = system.shape(entry, leaf)
-    mat, placed = shape.place(leaf)
-    return _grow(t, t._leaf_list.index(leaf), t.interior.union(mat), placed, shape.delta)
+    mat, placed, delta = system.place(leaf)
+    return _grow(t, t._leaf_list.index(leaf), t.interior.union(mat), placed, delta)
 
 
 def _grow(
@@ -622,7 +587,7 @@ def enumerate_admissible(
     if t0.system.graph != g or t0.system.gates != gs:
         raise ValidationError("t0 belongs to a different system")
     t0.require_admissible("t0")
-    shape, step_entry = t0.system.shape, t0.system.step_entry
+    place = t0.system.place
     placements: dict[Address, tuple[frozenset[Address], list[Address], CountVector]] = {}
     # each patch carries its leaf list, which both growth and sorting read
     seen: dict[frozenset[Address], TreePatch] = {t0.interior: t0}
@@ -633,9 +598,7 @@ def enumerate_admissible(
             for i, leaf in enumerate(t._leaf_list):
                 placement = placements.get(leaf)
                 if placement is None:
-                    # t0 is admissible, so no leaf is the bare root
-                    caret = shape(step_entry[leaf[-1]], leaf)
-                    placement = placements[leaf] = (*caret.place(leaf), caret.delta)
+                    placement = placements[leaf] = place(leaf)
                 mat, placed, delta = placement
                 grown = t.interior.union(mat)
                 if grown not in seen:
@@ -696,13 +659,12 @@ def interval_lattice(t: TreePatch, t_prime: TreePatch) -> IntervalLattice:
     for leaf in t._leaf_list:
         if leaf not in t_prime.interior:
             continue
-        shape = system.shape(system.step_entry[leaf[-1]], leaf)
-        mat, placed = shape.place(leaf)
+        mat, placed, delta = system.place(leaf)
         if not mat <= t_prime.interior:
             raise InvariantViolation(
                 f"expansion of leaf {leaf} is not contained in the top patch"
             )
-        carets[leaf] = mat, placed, shape.delta
+        carets[leaf] = mat, placed, delta
         covered |= mat
     extra = t_prime.interior - t.interior - covered
     if extra:
@@ -731,47 +693,30 @@ class ViralReport:
     """Verdict of the viral-property check, with an optional repair.
 
     ``passed`` refers to the input pair (gates, base tree); when only leaf
-    counts are deficient the report may carry a repaired pair obtained by
-    dropping never-occurring gate types and growing the base tree.
+    counts are deficient the report may carry a repaired base tree, grown
+    from the input one, in which every gate type has at least two leaves.
     """
 
     passed: bool
     reasons: tuple[str, ...]
     diagonal: tuple[int, ...]
     base_leaves: tuple[int, ...]
-    dropped: tuple[HalfEdge, ...]
-    repaired_gates: GateSystem | None
     repaired_base: TreePatch | None
     repair_trace: tuple[str, ...]
-    table: CaretTable
 
     def to_json_dict(self) -> dict:
+        repaired = self.repaired_base
         return {
             "passed": self.passed,
             "reasons": list(self.reasons),
             "M_diagonal": list(self.diagonal),
             "base_leaf_counts": list(self.base_leaves),
-            "dropped_gates": [str(h) for h in self.dropped],
-            "repaired": self.repaired_gates is not None,
-            "repaired_gates": [str(h) for h in self.repaired_gates.gates]
-            if self.repaired_gates
-            else None,
+            # every gate type occurs (see check_viral), so none is dropped
+            "dropped_gates": [],
+            "repaired": repaired is not None,
+            "repaired_gates": None if repaired is None else [str(h) for h in repaired.system.gates.gates],
             "repair_trace": list(self.repair_trace),
         }
-
-
-def _occurring_types(table: CaretTable, base: CountVector) -> set[int]:
-    k = len(table.gates)
-    occ = {i for i in range(k) if base.leaves[i] > 0}
-    changed = True
-    while changed:
-        changed = False
-        for j in list(occ):
-            for i in range(k):
-                if table.M[i][j] > 0 and i not in occ:
-                    occ.add(i)
-                    changed = True
-    return occ
 
 
 def check_viral(
@@ -782,115 +727,95 @@ def check_viral(
 ) -> ViralReport:
     """Check M_ii >= 3 for every gate type and L_i(t0) >= 2.
 
-    When the diagonal is fine but some leaf counts are small, attempt the
-    standard repair: drop gate types that never occur as leaves of
-    reachable trees (their carets are unaffected because no reachable
-    growth passes through them), then greedily expand the base tree until
-    every remaining type has at least two leaves.  Failures are reported,
-    not raised.
+    When the diagonal is fine but some leaf counts are small, repair t0 by
+    growing it one leaf at a time until every type has at least two
+    leaves: the first deficient type is grown at its first leaf, or, if it
+    has none, the nearest type with a leaf whose carets lead to it (type a
+    leads to type b when M_ba > 0).  An exhausted budget is reported, not
+    raised.
+
+    The search always finds a type to grow, because every gate type is the
+    type of a leaf of some tree grown from t0.  A vertex entered through e
+    at label v has index(h) - [h = e] children through each half-edge h at
+    v; it *exits* h if it has one, and the child is entered through opp(h).
+
+    First, every half-edge q is exited by infinitely many vertices of the
+    model.  If not, no vertex of the subtree S below some vertex u exits q.
+    Every vertex has a child (tree degree >= 2), so the entries of S hold
+    a class C that is closed under taking a child's entry and in which
+    each entry is a child's entry of one in C.  Call h *closed* if no
+    vertex of S with entry in C exits h.  An edge from a label of C to a
+    label without one would be closed at its inner half-edge h, so h would
+    be the only entry of C there, with index 1, yet entered from outside.
+    So every label holds an entry of C; then h closed means that h is the
+    only entry of C at its label, with index(h) = 1, and q is closed.  At
+    a closed h's label every other half-edge h' is exited, so h' is not in
+    C, opp(h') is in C, and opp(h') is closed, as exiting it would put h'
+    in C.  Each label with a closed half-edge has another half-edge (tree
+    degree >= 2), and opp maps those one to one into the closed
+    half-edges, one per such label.  Counting them, the map is onto and
+    each such label has exactly two half-edges, so these labels form a
+    whole component: the graph is one directed cycle with index 1 at each
+    head, and the closed half-edges, q among them, are its heads.
+    There the root exits the head at its label, the child through a head
+    is entered through a tail, and a vertex entered through a tail exits
+    the head at its label in turn: the root's backward chain exits every
+    head, again and again, a contradiction.
+
+    So infinitely many vertices are entered through each gate nu_j, and
+    one of them, s, lies outside t0's finite interior.  The path to s
+    leaves that interior at a leaf of t0; expanding the path's leaf, again
+    and again, grows the path to its next vertex entered through a gate,
+    so s becomes a leaf of type j.  Expanding a type-j leaf adds M_ij
+    leaves of type i, so M leads from t0's leaf types to every type.  With
+    every M_ii >= 3 no leaf count falls while t0 grows, so the types with
+    a leaf in t0 keep one, and the search back along M from a deficient
+    type reaches one of them.
     """
     if repair_budget < 0:
         raise ValidationError(f"repair budget must be nonnegative, got {repair_budget}")
     t0.require_admissible("t0")
     if t0.system.graph != g or t0.system.gates != gs:
         raise ValidationError("t0 belongs to a different system")
-    table = caret_table(g, gs)
+    M = caret_table(g, gs).M
     base = t0.counts()
     k = gs.k
-    diag = tuple(table.M[i][i] for i in range(k))
+    diag = tuple(M[i][i] for i in range(k))
     m_fail = [i for i in range(k) if diag[i] < 3]
     l_fail = [i for i in range(k) if base.leaves[i] < 2]
     reasons = [f"M_{i + 1}{i + 1} = {diag[i]}" for i in m_fail]
     reasons += [f"L_{i + 1}(T0) = {base.leaves[i]}" for i in l_fail]
-    passed = not m_fail and not l_fail
 
-    dropped: tuple[HalfEdge, ...] = ()
-    repaired_gates = None
     repaired_base = None
     trace: list[str] = []
-
-    if not passed and not m_fail:
-        occ = _occurring_types(table, base)
-        drop_idx = [i for i in range(k) if i not in occ]
-        dropped = tuple(gs.gates[i] for i in drop_idx)
-        kept = [gs.gates[i] for i in range(k) if i in occ]
-        gs2 = GateSystem(g, tuple(kept)) if drop_idx else gs
-        if drop_idx:
+    t = t0
+    while l_fail and not m_fail:
+        cur = t.counts().leaves
+        deficient = [i for i in range(k) if cur[i] < 2]
+        if not deficient:
+            repaired_base = t
+            break
+        if len(trace) == repair_budget:
             trace.append(
-                "dropped never-occurring gate types: " + ", ".join(str(h) for h in dropped)
+                f"repair failed: budget of {repair_budget} expansions exhausted "
+                f"with deficient types {[str(gs.gates[i]) for i in deficient]}"
             )
-        cert2 = is_admissible(g, gs2)
-        if not cert2.admissible:
-            trace.append("repair failed: reduced gate system is inadmissible")
-        else:
-            system2 = TreeSystem(g, gs2, t0.system.root)
-            t2 = TreePatch(system2, t0.interior)
-            table2 = caret_table(g, gs2) if drop_idx else table
-            if any(table2.M[i][i] < 3 for i in range(gs2.k)):
-                raise InvariantViolation(
-                    "dropping never-occurring gate types changed a kept caret"
-                )
-            budget = repair_budget
-            ok = True
-            while budget >= 0:
-                cur = t2.counts().leaves
-                deficient = [i for i in range(gs2.k) if cur[i] < 2]
-                if not deficient:
-                    break
-                if budget == 0:
-                    ok = False
-                    trace.append(
-                        f"repair failed: budget of {repair_budget} expansions exhausted "
-                        f"with deficient types {[str(gs2.gates[i]) for i in deficient]}"
-                    )
-                    break
-                target = deficient[0]
-                if cur[target] >= 1:
-                    pick = target
-                else:
-                    # shortest production chain: expanding type a creates
-                    # type-b leaves when M2[b][a] > 0
-                    dist = {target: 0}
-                    frontier = [target]
-                    pick = None
-                    while frontier and pick is None:
-                        nxt = []
-                        for b in frontier:
-                            for a in range(gs2.k):
-                                if table2.M[b][a] > 0 and a not in dist:
-                                    dist[a] = dist[b] + 1
-                                    nxt.append(a)
-                                    if cur[a] >= 1:
-                                        pick = a
-                                        break
-                            if pick is not None:
-                                break
-                        frontier = nxt
-                    if pick is None:
-                        ok = False
-                        trace.append(
-                            f"repair failed: no production chain reaches type "
-                            f"{gs2.gates[target]}"
-                        )
-                        break
-                leaf = min(a for a, e in t2.typed_leaves() if e == gs2.gates[pick])
-                t2 = expand_leaf(t2, leaf)
-                budget -= 1
-                trace.append(f"expanded a leaf of type {gs2.gates[pick]}")
-            if ok and all(c >= 2 for c in t2.counts().leaves):
-                repaired_gates = gs2
-                repaired_base = t2
+            break
+        # the types that lead to the target, nearest first
+        near = [deficient[0]]
+        for b in near:
+            near += [a for a in range(k) if M[b][a] > 0 and a not in near]
+        pick = next(a for a in near if cur[a] >= 1)
+        t = expand_leaf(t, min(a for a, e in t.typed_leaves() if e == gs.gates[pick]))
+        trace.append(f"expanded a leaf of type {gs.gates[pick]}")
 
     return ViralReport(
-        passed=passed,
+        passed=not m_fail and not l_fail,
         reasons=tuple(reasons),
         diagonal=diag,
         base_leaves=base.leaves,
-        dropped=dropped,
-        repaired_gates=repaired_gates,
         repaired_base=repaired_base,
         repair_trace=tuple(trace),
-        table=table,
     )
 
 

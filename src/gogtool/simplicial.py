@@ -625,6 +625,10 @@ def random_complex(
     each mask's bits upward lists every layer in sorted order, and the
     pairs are drawn in ``combinations`` order, so the random stream, and
     with it every complex, is that of a scan over all higher vertices.
+
+    The faces held, finished layers and the one growing, are checked
+    against ``HOMOLOGY_CELL_CAP`` before each face is extended, so a dense
+    draw raises ``CapExceeded`` at most n faces past the cap.
     """
     if not 0 <= density <= 1 or not 0 <= drop <= 1:
         raise ValidationError("density and drop must lie in [0, 1]")
@@ -642,12 +646,20 @@ def random_complex(
     layers = []
     layer, masks = [(v,) for v in range(n_vertices)], up
     closers: dict[tuple, int] = {}
+    held = 0
     while layer:
         layers.append(tuple(layer))
+        held += len(layer)
         if len(layers) >= cap:
             break
         grown, grown_masks = [], []
         for c, ext in zip(layer, masks):
+            if held + len(grown) > HOMOLOGY_CELL_CAP:
+                raise CapExceeded(
+                    f"random complex exceeded the cap of {HOMOLOGY_CELL_CAP} faces while growing "
+                    f"faces of size {len(layers) + 1} (sizes 1..{len(layers)} held "
+                    f"{', '.join(str(len(f)) for f in layers)} faces)"
+                )
             while ext:
                 low = ext & -ext
                 ext ^= low

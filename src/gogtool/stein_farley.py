@@ -327,11 +327,10 @@ def _removable_carets(t: TreePatch, t0: TreePatch) -> list[tuple]:
     interior = t.interior
     out = []
     for addr in sorted(interior - t0.interior):
-        entry = system.step_entry[addr[-1]]
-        ty = system.gate_type[entry]
+        ty = system.step_type[addr[-1]]
         if ty is None:
             continue
-        mat, placed = system.shape(entry, addr).place(addr)
+        mat, placed, _ = system.place(addr)
         if mat <= interior and interior.isdisjoint(placed):
             out.append((addr, ty))
     return out

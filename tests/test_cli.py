@@ -98,6 +98,35 @@ def test_viral_loop33_passes(capsys):
     assert json.loads(out)["passed"]
 
 
+@pytest.mark.parametrize(
+    "argv,code,digest",
+    [
+        (("carets", "amalgam33.gog"), 0, "e14353def9eb879049b91e0c1c38b8277cdf998f29abadf5195d7f599cb52d1a"),
+        (("carets", "bs23.gog"), 0, "bcaec7cdb5b2fe061c2e0058fb5920012662b41bff6f420bd042cf8aba81701c"),
+        (("carets", "bs23_aug.gog"), 0, "f1c252f03979c276845db04143525fb34fd9c440817937f81ea5753826b2da06"),
+        (("carets", "loop33.gog"), 0, "cc65b3c2a3fdb4d9156a319ff6cd3da88d6b33e96828fe00f5b051970c113ea1"),
+        (("carets", "triple.gog"), 0, "afba87b4c2520c01d20d451bd35af1533fc01220cf4b5099719254ffd663f330"),
+        (("carets", "z_line.gog"), 0, "15f88dda566bd79d9d3a4ad0900a9425c1b6231ab65bc0d9fb6c08e80bac7d33"),
+        (("viral", "amalgam33.gog"), 0, "1aebcb8495a8b612f2cd89b2e0aa6ae9ceb596898b1fe64a3b75ff48e3082428"),
+        (("viral", "bs23.gog"), 1, "7c2037842d5d8bead5e863ae8f92961db23afe0e19e729de50ce8f603986de62"),
+        (("viral", "bs23_aug.gog"), 0, "bbccb9fac1da3662d51884d7aa10eabb3e9d62b70a50706f8f3fd815691daf53"),
+        (("viral", "loop33.gog"), 0, "ff587b9f2c04cc46b4fbd1f5411f052f0ec0bad7b9e0508f54cf637c1e38b071"),
+        # the one bundled run that repairs its base tree
+        (("viral", "triple.gog"), 1, "17b8787dac6e75c6441a8a1e0382f155681adb90fb211f23aed8798faadb5dcc"),
+        (("viral", "z_line.gog"), 1, "0ab7222481d012462958b74fc9a941b09801d80ba25dc606ac456aff5032324f"),
+        (
+            ("viral", "triple.gog", "--repair-budget", "0"),
+            1,
+            "5a9d9326ce02ffdd08571d4f0a44c838909d7818ef09dbc754f5b07a75fac3a6",
+        ),
+    ],
+)
+def test_carets_and_viral_pinned(capsys, argv, code, digest):
+    got, out, _ = run(capsys, argv[0], str(DATA / argv[1]), *argv[2:])
+    assert got == code
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
 def test_enumerate(capsys):
     code, out, _ = run(
         capsys, "enumerate", str(DATA / "loop33.gog"), "--max-expansions", "1"
@@ -506,6 +535,18 @@ def test_cap_exceeded_exits_two(capsys):
     )
     assert code == 2
     assert "cap exceeded" in err
+
+
+def test_random_complex_cap_exits_two():
+    # 4.5 M faces of a 24-clique up to size 10: stopped while the last grows
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
+    argv = ["random-complex", "--seed", "1", "--vertices", "24", "--density", "1"]
+    cmd = [sys.executable, "-m", "gogtool.cli", *argv]
+    done = subprocess.run(cmd, env=env, capture_output=True, text=True)
+    assert done.returncode == 2 and done.stdout == ""
+    assert done.stderr.startswith("cap exceeded: ") and done.stderr.count("\n") == 1
+    assert "sizes 1..9 held 24, 276, 2024" in done.stderr
 
 
 def test_tree_cap_says_how_far_it_got(capsys):

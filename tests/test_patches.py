@@ -17,39 +17,26 @@ from conftest import DATA, System, forced_completion, make_system, oracle_caret_
 
 
 def test_caret_loop33(loop33: System):
-    c = gt.caret(loop33.g, loop33.gs, HalfEdge("e", "iota"))
-    assert dict(c.terminal_leaf_types) == {
-        HalfEdge("e", "iota"): 3,
-        HalfEdge("e", "tau"): 2,
-    }
-    assert c.interior_count == 1
+    (c, _) = gt.caret_table(loop33.g, loop33.gs).to_json_dict()["carets"]
+    assert c == {"gate": "e.iota", "interior": 1, "terminal_leaves": {"e.iota": 3, "e.tau": 2}}
 
 
 def test_caret_amalgam(amalgam33: System):
     (nu,) = amalgam33.gs.gates
-    c = gt.caret(amalgam33.g, amalgam33.gs, nu)
-    assert dict(c.terminal_leaf_types) == {nu: 4}
-    assert c.interior_count == 3
+    (c,) = gt.caret_table(amalgam33.g, amalgam33.gs).to_json_dict()["carets"]
+    assert c == {"gate": str(nu), "interior": 3, "terminal_leaves": {str(nu): 4}}
 
 
 def test_caret_z_line(z_line: System):
-    c = gt.caret(z_line.g, z_line.gs, HalfEdge("e", "iota"))
-    assert dict(c.terminal_leaf_types) == {HalfEdge("e", "iota"): 1}
-    assert c.interior_count == 1
-
-
-def test_caret_requires_gate(loop33: System):
-    g = gt.example_family("amalgam(3,3)")
-    gs = gt.default_gates(g)
-    with pytest.raises(ValidationError):
-        gt.caret(g, gs, HalfEdge("e", "iota"))
+    (c, _) = gt.caret_table(z_line.g, z_line.gs).to_json_dict()["carets"]
+    assert c == {"gate": "e.iota", "interior": 1, "terminal_leaves": {"e.iota": 1}}
 
 
 def test_caret_inadmissible_detected_up_front():
     g = gt.example_family("loop(3,3)")
     gs = gt.GateSystem(g, (HalfEdge("e", "iota"),))
     with pytest.raises(InadmissibleGateSystem):
-        gt.caret(g, gs, HalfEdge("e", "iota"))
+        gt.caret_table(g, gs)
 
 
 @pytest.mark.parametrize(
@@ -297,7 +284,7 @@ def test_growth_budget(loop33: System, monkeypatch):
     # a loop(3,3) caret grows five leaves below its attach vertex
     monkeypatch.setattr(patches, "NODE_BUDGET", 4)
     with pytest.raises(gt.CapExceeded, match="node budget of 4"):
-        gt.caret(loop33.g, loop33.gs, HalfEdge("e", "iota"))
+        gt.caret_table(loop33.g, loop33.gs)
 
 
 def test_enumerate_cap():
@@ -364,10 +351,61 @@ def test_check_viral_repair_on_triple(triple: System):
     rep = gt.check_viral(triple.g, triple.gs, triple.t0)
     assert not rep.passed
     assert rep.reasons == ("L_3(T0) = 0",)
-    assert rep.repaired_gates is not None and rep.repaired_base is not None
-    assert rep.repaired_gates.gates == triple.gs.gates  # nothing dropped
+    assert rep.repaired_base is not None
+    assert rep.repaired_base.system.gates == triple.gs  # nothing dropped
     assert all(l >= 2 for l in rep.repaired_base.counts().leaves)
     assert rep.repair_trace
+
+
+def occurrence_graphs():
+    """The bundled graphs, 30 seeded random ones, loop(a, 1) for a = 1..4,
+    and directed 2- and 3-cycles with index 1 at each head, where a
+    subtree can miss a half-edge that the whole model still exits."""
+    rng = random.Random(2408_05673)
+    graphs = [gt.parse_gog(path.read_text()) for path in sorted(DATA.glob("*.gog"))]
+    graphs += [random_gog(rng, max_vertices=3, min_degree_two=True) for _ in range(30)]
+    graphs += [gt.example_family(f"loop({a},1)") for a in range(1, 5)]
+    for n, tails in ((2, (1, 3)), (2, (2, 2)), (3, (1, 1, 1)), (3, (3, 1, 2))):
+        names = tuple(f"v{i}" for i in range(n))
+        edges = tuple(Edge(f"c{i}", names[i], names[(i + 1) % n], a, 1) for i, a in enumerate(tails))
+        graphs.append(GraphOfGroups(names, edges))
+    return graphs
+
+
+def test_every_gate_type_occurs():
+    """Every gate type is the type of a leaf of some tree grown from any
+    admissible t0, for every admissible gate subset and root: expanding one
+    leaf of each newly seen type reaches all k types.  ``check_viral``'s
+    repair rests on this (its docstring has the proof)."""
+    rng = random.Random(4115)
+    cases = 0
+    for g in occurrence_graphs():
+        halves = g.half_edges()
+        for r in range(1, len(halves) + 1):
+            for gates in itertools.combinations(halves, r):
+                gs = gt.GateSystem(g, gates)
+                if not gt.is_admissible(g, gs).admissible:
+                    continue
+                for root in g.vertices:
+                    t = t0 = gt.base_tree(g, gs, root)
+                    for _ in range(3):
+                        t = gt.expand_leaf(t, rng.choice(t.typed_leaves())[0])
+                    for start in (t0, t):
+                        seen = {}  # type -> a tree with a leaf of that type
+                        for _, e in start.typed_leaves():
+                            seen.setdefault(e, start)
+                        todo = list(seen)
+                        while todo:
+                            e = todo.pop()
+                            tree = seen[e]
+                            grown = gt.expand_leaf(tree, next(a for a, f in tree.typed_leaves() if f == e))
+                            for _, f in grown.typed_leaves():
+                                if f not in seen:
+                                    seen[f] = grown
+                                    todo.append(f)
+                        assert sorted(seen) == list(gs.gates), (g, gates, root)
+                        cases += 1
+    assert cases > 1000
 
 
 def test_check_viral_repair_budget(triple: System):
@@ -551,22 +589,22 @@ def test_shapes_match_the_stack_walk():
             level = [a + (s,) for a in level[:50] for s in system.children[system.entry_of(a)]]
         assert len(first) == len(system.entries)
         for entry, addr in first.items():
-            shape = system.shape(entry, addr)
             interior = forced_completion(system, addr, entry)
-            mat, shape_leaves = shape.place(addr)
+            mat, shape_leaves, delta = system.place(addr)
             assert mat == interior
             leaves = patches._leaves(system, interior)
             assert sorted(shape_leaves) == sorted(leaves)
+            shape = system._shapes[entry]
             assert shape_leaves == [addr + a for a in shape.leaves]
             types = [system.gate_type[system.entry_of(a)] for a in leaves]
             own = system.gate_type[entry]
             census = tuple(types.count(i) - (i == own) for i in range(gs.k))
-            assert shape.delta == gt.CountVector(len(interior), census)
+            assert delta == gt.CountVector(len(interior), census)
             if own is not None:
-                assert shape.delta.leaves == tuple(
+                assert delta.leaves == tuple(
                     m - (i == own) for i, m in enumerate(table.column(own))
                 )
-                assert shape.delta.interior == table.I[own]
+                assert delta.interior == table.I[own]
             placed += 1
     assert placed > 100
 

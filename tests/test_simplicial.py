@@ -734,6 +734,14 @@ def test_random_complex_rejects_negative_vertex_count():
         random_complex(1, 2, 0.5, ground=3)
 
 
+def test_random_complex_cap(monkeypatch):
+    # the 24-clique has 16.7 M faces; the cap stops the triangle layer
+    monkeypatch.setattr(simplicial, "HOMOLOGY_CELL_CAP", 1000)
+    with pytest.raises(CapExceeded, match=r"growing faces of size 3 \(sizes 1\.\.2 held 24, 276 faces\)"):
+        random_complex(1, 24, 1.0)
+    assert random_complex(1, 24, 1.0, max_dim=1).f_vector() == (24, 276)
+
+
 def test_random_complex_ground_planted():
     for seed in range(5):
         cx = random_complex(seed, 10, 0.2, ground=4)
