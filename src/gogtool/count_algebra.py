@@ -14,6 +14,7 @@ caret table only touches ``table.M`` (k x k rows) and ``table.I``
 
 from __future__ import annotations
 
+import functools
 import itertools
 import operator
 from dataclasses import dataclass
@@ -255,37 +256,22 @@ def dickson_minimal(
 # -- the rearrangement predicate and its constants ------------------------
 
 
-def elementary_expansion_ok(c: CountVector, mu: Sequence[int], table, base: CountVector) -> bool:
-    """Count-level test: can a tree with counts ``c`` be rearranged into an
-    elementary expansion by the caret-type multiset ``mu`` (multiplicity
-    per type)?
-
-    True iff the residual counts (subtract each caret's interior and leaf
-    contribution) keep at least the base interior, leave at least mu[t]
-    leaves of every type t to attach the carets to (so none is negative),
-    and are realizable.  Assumes the viral property.
-    """
-    res_i = c.interior - sum(map(operator.mul, table.I, mu))
-    # a caret of type j removes its M[i][j] type-i leaves and restores
-    # the type-j leaf it was attached at
-    res_l = tuple(
-        l + m - sum(map(operator.mul, row, mu)) for l, m, row in zip(c.leaves, mu, table.M)
-    )
-    return (
-        res_i >= base.interior
-        and all(l >= m for l, m in zip(res_l, mu))
-        and bool(realizable(CountVector(res_i, res_l), table, base, viral=True))
-    )
+def _fits(mu: Sequence[int], table, c: CountVector) -> bool:
+    """M mu <= L(c): the leaves of c can hold the carets of ``mu``."""
+    return all(sum(map(operator.mul, row, mu)) <= l for row, l in zip(table.M, c.leaves))
 
 
 def allowed_multisets(c: CountVector, table, base: CountVector) -> frozenset[Vec]:
-    """The nonzero caret-type multisets mu that ``elementary_expansion_ok``
-    accepts at ``c``, from one ``realizable`` search: those with M mu <= L
-    and mu <= N for some history N of c, a downward-closed set.  Assumes
-    the viral property.
+    """The allowed set A(c): the nonzero caret-type multisets mu with
+    M mu <= L and mu <= N for some history N of c, from one ``realizable``
+    search; a downward-closed set.  Assumes the viral property.
 
-    Proof: with Phi(n) = (<I, n>, (M - Id) n) the count map, c = base +
-    Phi(N), so the residual tested is base + Phi(N - mu), and its leaf
+    A(c) holds the mu by which a tree with counts c can be rearranged into
+    an elementary expansion: its residual counts (c minus each caret's
+    interior and leaf contribution) keep at least the base interior, leave
+    at least mu[t] leaves of every type t to attach the carets to, and are
+    realizable.  Proof: with Phi(n) = (<I, n>, (M - Id) n) the count map,
+    c = base + Phi(N), so the residual is base + Phi(N - mu), and its leaf
     test res_l >= mu reads M mu <= L.  If mu <= N, N - mu is a history of
     the residual, whose interior is then at least the base's; conversely,
     a history N' of the residual gives the history N' + mu >= mu of c.
@@ -294,17 +280,19 @@ def allowed_multisets(c: CountVector, table, base: CountVector) -> frozenset[Vec
         mu
         for n in realizable(c, table, base, viral=True)
         for mu in itertools.product(*(range(t + 1) for t in n.expansions))
-        if any(mu)
-        and all(sum(map(operator.mul, row, mu)) <= l for row, l in zip(table.M, c.leaves))
+        if any(mu) and _fits(mu, table, c)
     )
 
 
 def elementary_expansion_predicate(
     rho: Sequence[int], table, base: CountVector
 ) -> Callable[[Vec], bool]:
-    """``elementary_expansion_ok`` as a predicate on histories N, for the
-    caret collection ``rho`` (a list of caret types).  Under the viral
-    property the predicate is upward closed.
+    """mult(rho) in A(c) for c = predict_counts(N), as a predicate on
+    histories N, for the caret collection ``rho`` (a list of caret types):
+    M mult <= L(c) and mult <= N' for some history N' of c, by the reading
+    of ``allowed_multisets``.  Upward closed under the viral property.  It
+    reads N only through c, so a memo on c is exact: each count class
+    costs at most one ``realizable`` search.
     """
     k = _check_dims(table, base)
     rho = tuple(rho)
@@ -314,12 +302,14 @@ def elementary_expansion_predicate(
         raise ValidationError("unknown caret type in collection")
     mult = tuple(rho.count(j) for j in range(k))
 
-    def pred(n: Vec) -> bool:
-        return elementary_expansion_ok(
-            predict_counts(History(tuple(n)), table, base), mult, table, base
+    @functools.cache
+    def allows(c: CountVector) -> bool:
+        return _fits(mult, table, c) and any(
+            all(map(operator.le, mult, n.expansions))
+            for n in realizable(c, table, base, viral=True)
         )
 
-    return pred
+    return lambda n: allows(predict_counts(History(tuple(n)), table, base))
 
 
 def alpha(rho: Sequence[int], i: int, table, base: CountVector, box: int = DEFAULT_DICKSON_BOX) -> int:

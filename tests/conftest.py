@@ -1,15 +1,19 @@
 """Shared fixtures: bundled example systems, a seeded graph generator,
-the canonical face format check and the link spec invariant."""
+the canonical face format check, the link spec invariant and the
+residual-count oracle for the allowed set."""
 
 from __future__ import annotations
 
+import operator
 import random
+from collections.abc import Sequence
 from dataclasses import dataclass
 from pathlib import Path
 
 import pytest
 
 import gogtool as gt
+from gogtool.count_algebra import CountVector, realizable
 from gogtool.model import Edge, GraphOfGroups
 
 DATA = Path(__file__).resolve().parent.parent / "data"
@@ -82,6 +86,29 @@ def assert_spec_holds(link) -> None:
         below = (tuple(c - (t == j) for t, c in enumerate(mu)) for j in range(len(mu)) if mu[j])
         assert all(nu in spec.allowed for nu in below if any(nu)), (link.x, mu)
     assert spec.f_vector() == link.f_vector, link.x
+
+
+def elementary_expansion_ok(c: CountVector, mu: Sequence[int], table, base: CountVector) -> bool:
+    """Count-level test: can a tree with counts ``c`` be rearranged into an
+    elementary expansion by the caret-type multiset ``mu`` (multiplicity
+    per type)?
+
+    True iff the residual counts (subtract each caret's interior and leaf
+    contribution) keep at least the base interior, leave at least mu[t]
+    leaves of every type t to attach the carets to (so none is negative),
+    and are realizable.  Assumes the viral property.
+    """
+    res_i = c.interior - sum(map(operator.mul, table.I, mu))
+    # a caret of type j removes its M[i][j] type-i leaves and restores
+    # the type-j leaf it was attached at
+    res_l = tuple(
+        l + m - sum(map(operator.mul, row, mu)) for l, m, row in zip(c.leaves, mu, table.M)
+    )
+    return (
+        res_i >= base.interior
+        and all(l >= m for l, m in zip(res_l, mu))
+        and bool(realizable(CountVector(res_i, res_l), table, base, viral=True))
+    )
 
 
 def oracle_caret_census(g, gs, nu):

@@ -119,6 +119,17 @@ def test_viral_loop33_passes(capsys):
             1,
             "5a9d9326ce02ffdd08571d4f0a44c838909d7818ef09dbc754f5b07a75fac3a6",
         ),
+        # triple.gog's thresholds take seconds even at m = 0
+        (("threshold", "loop33.gog", "-m", "0"), 0, "08b9f57596202042b7282f63ba74932ead21c5f3ded47f2154b346c1174d6bb9"),
+        (("threshold", "loop33.gog", "-m", "1"), 0, "6eef313f10eae07227254e91ff232c6f0b513b3f4deafcf079095fdb2887f824"),
+        (("threshold", "amalgam33.gog", "-m", "0"), 0, "294014a18ee985dfbc8dbb044a487038543757e8cb92cd1875b1d7315b06c5bc"),
+        (("threshold", "amalgam33.gog", "-m", "1"), 0, "6583b7011edb4e8d4ae009da7affd6068f2889d75a63cfdc195d1395aca00d71"),
+        (("threshold", "bs23.gog", "-m", "0"), 0, "b40eb9de1dafe1df15065450f3f30010dd95c2688754137135ecbd442554029b"),
+        (("threshold", "bs23.gog", "-m", "1"), 0, "f834b3717540c1e00a00125373ef1fe5ec55a0a5ece191ec6adee3cf5336009b"),
+        (("threshold", "bs23_aug.gog", "-m", "0"), 0, "6f49be363664a3c3439a2507eb14c64bad4482d7484fa7deb43aae492f55fbcc"),
+        (("threshold", "bs23_aug.gog", "-m", "1"), 0, "669c819f810a7c6fa652359ccdeec30ffd57b463fbbae83b7f7db727a9e12336"),
+        (("threshold", "z_line.gog", "-m", "0"), 0, "18b52deadba44d00c0e8a273fdc59384e68d318b8449d9837f025ad46a03df07"),
+        (("threshold", "z_line.gog", "-m", "1"), 0, "d8c075894a45f898be62bf5c04d1bd6ed987cb7c7320439529384fff602d9567"),
     ],
 )
 def test_carets_and_viral_pinned(capsys, argv, code, digest):

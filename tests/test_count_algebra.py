@@ -8,7 +8,6 @@ import gogtool as gt
 from gogtool.count_algebra import (
     allowed_multisets,
     dickson_minimal,
-    elementary_expansion_ok,
     expansion_matrix,
     order_feasible,
     weighted_vectors,
@@ -16,7 +15,7 @@ from gogtool.count_algebra import (
 from gogtool.errors import DicksonBoxExhausted, ValidationError
 from gogtool.stein_farley import is_viral, sf_vertices_at_height
 
-from conftest import System, make_system, random_gog
+from conftest import System, elementary_expansion_ok, make_system, random_gog
 
 
 def test_predict_empty_history(loop33: System):

@@ -8,7 +8,6 @@ import pytest
 
 import gogtool as gt
 from gogtool import count_algebra
-from gogtool.count_algebra import elementary_expansion_ok
 from gogtool.errors import CapExceeded, ValidationError
 from gogtool.stein_farley import (
     DescendingLink,
@@ -25,7 +24,7 @@ from gogtool.stein_farley import (
     sf_vertices_at_height_enumerated,
 )
 
-from conftest import System, assert_canonical, assert_spec_holds, forced_completion, make_system, random_gog
+from conftest import System, assert_canonical, assert_spec_holds, elementary_expansion_ok, forced_completion, make_system, random_gog
 
 
 def xv(interior, leaves):
