@@ -221,7 +221,7 @@ def dickson_minimal(
     basis: list[Vec] = []
 
     def dominated(p: Vec) -> bool:
-        return any(all(p[i] >= b[i] for i in range(dim)) for b in basis)
+        return any(all(map(operator.ge, p, b)) for b in basis)
 
     complete = False
     ones = (1,) * dim
@@ -294,6 +294,19 @@ def elementary_expansion_predicate(
     reads N only through c, so a memo on c is exact: each count class
     costs at most one ``realizable`` search.
     """
+    return _expansion_predicate(rho, table, base, _viral_histories(table, base))
+
+
+def _viral_histories(table, base: CountVector) -> Callable[[CountVector], frozenset[History]]:
+    """``realizable`` under the viral property, memoised on the count class."""
+    return functools.cache(lambda c: realizable(c, table, base, viral=True))
+
+
+def _expansion_predicate(
+    rho: Sequence[int], table, base: CountVector, histories: Callable[[CountVector], frozenset[History]]
+) -> Callable[[Vec], bool]:
+    """``elementary_expansion_predicate`` reading the histories of each
+    count class from ``histories``, which predicates may share."""
     k = _check_dims(table, base)
     rho = tuple(rho)
     if not rho:
@@ -305,8 +318,7 @@ def elementary_expansion_predicate(
     @functools.cache
     def allows(c: CountVector) -> bool:
         return _fits(mult, table, c) and any(
-            all(map(operator.le, mult, n.expansions))
-            for n in realizable(c, table, base, viral=True)
+            all(map(operator.le, mult, n.expansions)) for n in histories(c)
         )
 
     return lambda n: allows(predict_counts(History(tuple(n)), table, base))
@@ -323,14 +335,22 @@ def alpha(rho: Sequence[int], i: int, table, base: CountVector, box: int = DEFAU
     k = _check_dims(table, base)
     if i < 0 or i >= k:
         raise ValidationError("gate type out of range")
-    return _alphas(rho, table, base, box, reported=i)[i]
+    return _alphas(rho, table, base, box, _viral_histories(table, base), reported=i)[i]
 
 
-def _alphas(rho: Sequence[int], table, base: CountVector, box: int, reported: int = 0) -> Vec:
-    """alpha(rho, i) for every type i, read off one Dickson search; an
-    exhausted box reports the partial bound of type ``reported``."""
+def _alphas(
+    rho: Sequence[int],
+    table,
+    base: CountVector,
+    box: int,
+    histories: Callable[[CountVector], frozenset[History]],
+    reported: int = 0,
+) -> Vec:
+    """alpha(rho, i) for every type i, read off one Dickson search whose
+    predicate reads the histories of each count class from ``histories``;
+    an exhausted box reports the partial bound of type ``reported``."""
     k = len(table.I)
-    pred = elementary_expansion_predicate(rho, table, base)
+    pred = _expansion_predicate(rho, table, base, histories)
     basis = dickson_minimal(pred, k, box)
     if not basis.complete:
         partial = max((b[reported] for b in basis.minimal), default=0)
@@ -409,9 +429,12 @@ def thresholds(m: int, table, base: CountVector, box: int = DEFAULT_DICKSON_BOX)
         for rho in itertools.combinations_with_replacement(range(k), size)
     ]
 
+    # every rho's predicate reads one memo: the histories of c do not depend on rho
+    histories = _viral_histories(table, base)
+
     def alphas_for(rho: Vec) -> tuple[Vec, tuple[int, ...] | None]:
         try:
-            return rho, _alphas(rho, table, base, box)
+            return rho, _alphas(rho, table, base, box, histories)
         except DicksonBoxExhausted:
             return rho, None
 

@@ -188,8 +188,10 @@ def _leaves(system: TreeSystem, interior: frozenset[Address] | set[Address]) -> 
 
 
 def _gated(system: TreeSystem, leaves: list[Address]) -> bool:
-    """Whether every leaf, none of them the bare root, enters through a gate."""
-    return system.ungated_steps.isdisjoint(map(itemgetter(-1), leaves))
+    """Whether every leaf, none of them the bare root, enters through a gate;
+    always, with no leaf walked, when every step does."""
+    ungated = system.ungated_steps
+    return not ungated or ungated.isdisjoint(map(itemgetter(-1), leaves))
 
 
 @dataclass(frozen=True)

@@ -21,9 +21,9 @@ the threshold constants it is given, computed once per run.
 from __future__ import annotations
 
 import bisect
-import heapq
 import itertools
 import math
+import operator
 from collections.abc import Collection, Sequence
 from dataclasses import dataclass
 
@@ -144,12 +144,57 @@ class DescendingLink:
         return SimplicialComplex(tuple(fs for fs in levels if fs))
 
     def to_json_dict(self) -> dict:
+        """The link as JSON, its maximal faces read off A: those of
+        ``to_complex().maximal_faces``, in its order (by size, each size
+        sorted).
+
+        A face tau of a multiset mu holds M mu leaf slots, pairwise disjoint,
+        so L - M mu slots are free.  A type-j vertex v extends tau iff v holds
+        none of tau's slots (then v is not in tau, as every caret holds a
+        slot) and mu + e_j is in A.  Such a v exists iff mu + e_j is in A and
+        fits (M(mu + e_j) <= L): the free slots then hold a type-j caret, and
+        every choice of its slots is a vertex, as e_j is in A by downward
+        closure.  So tau is maximal iff no such mu + e_j exists, which
+        depends on mu alone.  The faces of a layer are those of the mu in A
+        of its size that fit (a mu that does not fit has none), so a layer is
+        maximal whole when all of those mu are maximal, has no maximal face
+        when none is, and is filtered by each face's type multiset otherwise;
+        filtering keeps the sorted order.
+        """
+        spec = self.spec
+        k = len(spec.leaves)
+
+        def fits(mu):
+            return all(sum(map(operator.mul, row, mu)) <= n for row, n in zip(spec.M, spec.leaves))
+
+        def extends(mu):
+            ups = (tuple(n + (t == j) for t, n in enumerate(mu)) for j in range(k))
+            return any(up in spec.allowed and fits(up) for up in ups)
+
+        fitting = [mu for mu in spec.allowed if fits(mu)]
+        maximal = {mu for mu in fitting if not extends(mu)}
+        types = [v.caret_type for v in self.vertices]
+
+        def multiset(face):
+            mu = [0] * k
+            for v in face:
+                mu[types[v]] += 1
+            return tuple(mu)
+
+        faces = []
+        layers = (tuple((i,) for i in range(len(self.vertices))),) + self.higher_faces
+        for size, layer in enumerate(layers, 1):
+            tops = [mu in maximal for mu in fitting if sum(mu) == size]
+            if all(tops):
+                faces += layer
+            elif any(tops):
+                faces += [f for f in layer if multiset(f) in maximal]
         return {
             "x": {"interior": self.x.interior, "leaves": list(self.x.leaves)},
             "height": self.x.height,
             "f_vector": list(self.f_vector),
             "vertices": [v.to_json_dict() for v in self.vertices],
-            "maximal_faces": self.to_complex().maximal_faces,
+            "maximal_faces": tuple(faces),
         }
 
 
@@ -221,8 +266,9 @@ class LinkSpec:
         of mu has type j, and removing it leaves the face it grew from; so
         each face is built exactly once, as an increasing index tuple.  The
         parent faces come in increasing order and the set bits are walked
-        upward, so the faces of one mu come out increasing, and merging those
-        runs sorts a layer.
+        upward, so the faces of one mu come out as one increasing run.  A
+        layer is one ``sorted`` over its runs laid end to end, which finds
+        the runs and merges them.
         """
         k = len(self.leaves)
         units = [tuple(int(t == j) for t in range(k)) for j in range(k)]
@@ -268,7 +314,7 @@ class LinkSpec:
                         low = free & -free
                         faces.append(face + (ids[start + low.bit_length() - 1],))
                         free ^= low
-            higher.append(tuple(heapq.merge(*kept.values())))
+            higher.append(tuple(sorted(itertools.chain.from_iterable(kept.values()))))
             layer = kept
         return DescendingLink(x, self, tuple(vertices), tuple(higher))
 

@@ -76,8 +76,9 @@ def assert_canonical(cx: gt.SimplicialComplex) -> None:
 
 
 def assert_spec_holds(link) -> None:
-    """The link's A is nonzero, downward closed and fits (M mu <= L), and
-    its spec counts the built link."""
+    """The link's A is nonzero, downward closed and fits (M mu <= L), its
+    spec counts the built link, every face layer is sorted, and the maximal
+    faces its JSON reads off A are those of its complex."""
     spec = link.spec
     for mu in spec.allowed:
         assert any(mu), link.x
@@ -86,6 +87,8 @@ def assert_spec_holds(link) -> None:
         below = (tuple(c - (t == j) for t, c in enumerate(mu)) for j in range(len(mu)) if mu[j])
         assert all(nu in spec.allowed for nu in below if any(nu)), (link.x, mu)
     assert spec.f_vector() == link.f_vector, link.x
+    assert all(list(layer) == sorted(layer) for layer in link.higher_faces), link.x
+    assert link.to_json_dict()["maximal_faces"] == link.to_complex().maximal_faces, link.x
 
 
 def elementary_expansion_ok(c: CountVector, mu: Sequence[int], table, base: CountVector) -> bool:

@@ -76,6 +76,24 @@ def test_dickson_search_reads_each_count_class_once(
     assert revisits > 0
 
 
+def test_thresholds_search_each_count_class_once(
+    monkeypatch, loop33: System, amalgam33: System, bs23_aug: System
+):
+    # the predicates of one thresholds call, one per rho, share one memo
+    calls = []
+    search = count_algebra.realizable
+
+    def counting(c, *args, **kwargs):
+        calls.append(c)
+        return search(c, *args, **kwargs)
+
+    monkeypatch.setattr(count_algebra, "realizable", counting)
+    for sys in (loop33, amalgam33, bs23_aug):
+        calls.clear()
+        gt.thresholds(1, sys.table, sys.base)
+        assert calls and len(calls) == len(set(calls))
+
+
 @pytest.mark.xfail(
     strict=True,
     reason="a box alone cannot prove a basis complete; waits for exact Dickson bases from the count map",

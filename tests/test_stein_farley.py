@@ -240,6 +240,7 @@ def check_link(M, leaves, allowed, brute) -> int:
     levels = [[(i,) for i in range(len(link.vertices))], *link.higher_faces]
     for size, faces in enumerate(levels, 1):
         assert all(list(f) == sorted(set(f)) for f in faces)  # strictly increasing
+        assert list(faces) == sorted(faces), (M, leaves, size)  # the layer sorted
         assert len(set(faces)) == len(faces), (M, leaves, size)  # each face once
         expected = {
             frozenset(index[v] for v in face)
