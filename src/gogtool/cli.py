@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from itertools import chain
 from json.encoder import encode_basestring_ascii
 from pathlib import Path
 
@@ -59,29 +60,27 @@ from .stein_farley import (
 )
 
 
-# deletes what compact rows of ints hold between their "],[" separators
-_DROP_INT_CHARS = str.maketrans("", "", ",-0123456789")
-
-
 def _dumps(obj) -> str:
     """``json.dumps(obj, indent=2, sort_keys=True) + "\\n"``, byte for byte.
 
     With ``indent`` set the stdlib skips its C encoder and yields one
     generator step per token, so this renders each container with one
-    ``join`` instead.  Each case equals the stdlib's output:
+    ``join`` or one ``%`` instead.  Each case equals the stdlib's output:
 
     - A plain int is ``int.__repr__`` and a str is
       ``encode_basestring_ascii``, the functions the stdlib calls.
-    - A non-empty dict with str keys: the stdlib writes ``{``, then each
-      of ``sorted(obj.items())`` as ``key: value`` on a line one level
-      deeper, separated by ``,``, then ``}`` on the dict's own level.
+    - A non-empty dict with str keys is one ``join`` of the pieces the
+      stdlib writes: ``{``, then for each of ``sorted(obj.items())`` a
+      line one level deeper, the key, ``": "``, the value and ``,``, with
+      the last ``,`` replaced by ``}`` on the dict's own level.
       A non-empty list or tuple is the same with ``[`` ``]`` and no keys.
-    - A list of lists is first encoded compactly by the C encoder.  If
-      that text starts with ``[[``, holds no ``[]``, and its inner part
-      holds only digits, ``-`` and ``,`` once each ``],[`` is removed,
-      then every row is a non-empty list of ints, and two replaces put
-      each number and each row on its own line as the stdlib does.
-      Without the ``[]`` test ``[[1],[],[2]]`` would pass.
+    - A list of exact lists or tuples whose elements all have type
+      ``int`` is one template filled by one ``%``.  A row of n > 0
+      numbers is n ``%d`` laid out as the stdlib lays out a list of
+      ints, and ``%d`` of an exact int is ``int.__repr__``; an empty row
+      is ``[]``, as the stdlib writes it.  Indents are spaces, so the
+      template holds no other ``%``.  Bools, floats, int subclasses,
+      strings and nested rows fail the type test and take the item path.
     - A list that holds one object several times renders it once: the
       same object at the same level has the same text.
     - Anything else (floats, bools, None, empty containers, non-str keys)
@@ -103,27 +102,27 @@ def _render(obj, nl: str) -> str:
         return encode_basestring_ascii(obj)
     inner = nl + "  "
     if isinstance(obj, dict) and obj and all(isinstance(k, str) for k in obj):
-        items = (
-            f"{encode_basestring_ascii(k)}: {_render(v, inner)}"
-            for k, v in sorted(obj.items())
-        )
-        return "{" + inner + ("," + inner).join(items) + nl + "}"
+        parts = ["{"]
+        for k, v in sorted(obj.items()):
+            parts += (inner, encode_basestring_ascii(k), ": ", _render(v, inner), ",")
+        parts[-1] = nl + "}"
+        return "".join(parts)
     if isinstance(obj, (list, tuple)) and obj:
-        if all(type(v) is int for v in obj):
+        if {int}.issuperset(map(type, obj)):
             return "[" + inner + ("," + inner).join(map(int.__repr__, obj)) + nl + "]"
-        if isinstance(obj[0], (list, tuple)):
-            flat = json.dumps(obj, separators=(",", ":"))
-            rows = flat[2:-2]
-            if (
-                flat.startswith("[[")
-                and "[]" not in flat
-                and not rows.replace("],[", "").translate(_DROP_INT_CHARS)
-            ):
+        # stops at the first non-row item, so enumerate's dict rows skip the flat scan
+        if {list, tuple}.issuperset(map(type, obj)):
+            flat = tuple(chain.from_iterable(obj))
+            if {int}.issuperset(map(type, flat)):
                 num = inner + "  "
-                rows = rows.replace(",", "," + num).replace(
-                    "]," + num + "[", inner + "]," + inner + "[" + num
-                )
-                return "[" + inner + "[" + num + rows + inner + "]" + nl + "]"
+                row = {
+                    n: "[" + num + ("%d," + num) * (n - 1) + "%d" + inner + "]" if n else "[]"
+                    for n in set(map(len, obj))
+                }
+                rows = list(map(row.__getitem__, map(len, obj)))
+                rows[0] = "[" + inner + rows[0]
+                rows[-1] += nl + "]"
+                return ("," + inner).join(rows) % flat
         # one render per distinct item: the list keeps its items alive, so ids do not repeat
         distinct = {id(v): v for v in obj}
         text = {i: _render(v, inner) for i, v in distinct.items()}

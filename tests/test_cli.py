@@ -1,3 +1,4 @@
+import enum
 import hashlib
 import json
 import os
@@ -447,6 +448,10 @@ def test_unwritable_out_exits_one(capsys, tmp_path):
         assert err.startswith(f"error: cannot write {failed}: ") and err.count("\n") == 1, err
 
 
+class _Colour(enum.IntEnum):
+    RED = 7
+
+
 def _stdlib_dumps(obj) -> str:
     return json.dumps(obj, indent=2, sort_keys=True) + "\n"
 
@@ -466,6 +471,16 @@ def _stdlib_dumps(obj) -> str:
         [(1, 2), (3,)],
         {1: [2], 2: {"x": None}},
         [[], {}, "", 0, -0.0, False],
+        ((1, 2), (3, 4)),
+        [(1, 2), [3], []],
+        [[], []],
+        [[1, True]],
+        [[1], [2.0]],
+        [[1], ["1"]],
+        [[1], [[2]]],
+        [[10**40, -1], [0]],
+        [[1, _Colour.RED]],
+        {"%d": [[1, 2]], "a": {"%s": [[3]]}},
     ],
     ids=repr,
 )
@@ -499,6 +514,8 @@ def _containers(children):
         st.dictionaries(st.booleans(), children, max_size=2),
         st.dictionaries(st.none(), children, max_size=1),
         _INT_ROWS,
+        # a link's faces and slots reach the renderer as tuples of tuples
+        _INT_ROWS.map(lambda rows: tuple(map(tuple, rows))),
         st.lists(st.lists(st.one_of(st.integers(), st.booleans()), max_size=3), max_size=3),
         st.lists(st.lists(children, max_size=3), max_size=3),
         # lists that hold one object several times, as enumerate's rows do
