@@ -15,7 +15,7 @@ from itertools import chain
 from json.encoder import encode_basestring_ascii
 from pathlib import Path
 
-from .count_algebra import DEFAULT_DICKSON_BOX, CountVector, thresholds as compute_thresholds
+from .count_algebra import DEFAULT_DICKSON_BOX, thresholds as compute_thresholds
 from .errors import (
     CapExceeded,
     GogError,
@@ -272,14 +272,19 @@ def _cmd_enumerate(args) -> tuple[int, dict[str, str]]:
         doc.graph, gs, t0, args.max_expansions, max_trees=args.max_trees
     )
     by_height: dict[int, int] = {}
-    classes: dict[CountVector, dict] = {}  # one row object per class, rendered once
+    # one row object per class, rendered once, keyed by a plain tuple: the
+    # dataclass's own __eq__ and __hash__ run in Python
+    classes: dict[tuple[int, tuple[int, ...]], dict] = {}
     rows = []
     for p in patches:
         c = p.counts()
-        if c not in classes:
-            classes[c] = {"interior": c.interior, "leaves": list(c.leaves), "height": c.height}
-        by_height[c.height] = by_height.get(c.height, 0) + 1
-        rows.append(classes[c])
+        key = c.interior, c.leaves
+        row = classes.get(key)
+        if row is None:
+            row = classes[key] = {"interior": c.interior, "leaves": list(c.leaves), "height": c.height}
+        h = row["height"]
+        by_height[h] = by_height.get(h, 0) + 1
+        rows.append(row)
     report = {
         "total": len(patches),
         "by_height": {str(h): n for h, n in sorted(by_height.items())},

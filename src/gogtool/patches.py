@@ -20,8 +20,10 @@ with no last step, when the interior is empty).  A vertex's entry, and
 so its gate type, is read off its address's last step.  A vertex is
 interior in a union or intersection of two patches exactly when it is
 interior in one or in both of them, so unions, intersections,
-containment and deduplication are plain set operations on interior
-sets, which are several times smaller than node sets.
+containment and equality are plain set operations on interior sets,
+which are several times smaller than node sets.  An enumeration needs
+no deduplication at all: it grows each patch once, from its parent in
+a canonical order (see ``enumerate_admissible``).
 
 Growth below a vertex depends only on the vertex's entry, so the tree
 system keeps one caret shape per entry, built on first use: the forced
@@ -48,6 +50,7 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import filterfalse
 from operator import add, itemgetter
 
 from .count_algebra import CountVector, History
@@ -207,7 +210,15 @@ class TreePatch:
     walks nothing: ``_grow`` and ``_combine`` prove that what they pass is
     what this constructor would compute.  Grown patches also carry their
     counts; other patches take their leaf census on the first ``counts()``.
+
+    The class declares ``__slots__``, so a patch has no instance dict: its
+    two fields and four derived values (leaf list, admissibility, counts
+    and nodes) sit in fixed slots.  ``nodes`` is taken on first read and
+    kept in its slot, like ``counts()``, where ``functools.cached_property``
+    would need the instance dict.
     """
+
+    __slots__ = ("system", "interior", "_leaf_list", "_admissible", "_counts", "_nodes")
 
     system: TreeSystem
     interior: frozenset[Address]
@@ -232,11 +243,11 @@ class TreePatch:
         self._set_derived(leaves, bool(interior) and _gated(system, leaves), None)
 
     def _set_derived(self, leaves: list[Address], admissible: bool, counts: CountVector | None) -> None:
-        # the dataclass is frozen; setting the attributes one by one, in one
-        # order, keeps each instance's values in the class's shared key table
+        # the dataclass is frozen, so its slots are set through object
         object.__setattr__(self, "_leaf_list", leaves)
         object.__setattr__(self, "_admissible", admissible)
         object.__setattr__(self, "_counts", counts)
+        object.__setattr__(self, "_nodes", None)
 
     @classmethod
     def _derived(
@@ -255,12 +266,21 @@ class TreePatch:
         t._set_derived(leaves, admissible, counts)
         return t
 
+    def __reduce__(self):
+        # frozen slots take no plain setattr, so copies and pickles are
+        # rebuilt through _derived
+        return TreePatch._derived, (self.system, self.interior, self._leaf_list, self._admissible, self._counts)
+
     # -- structure ---------------------------------------------------------
 
-    @cached_property
+    @property
     def nodes(self) -> frozenset[Address]:
-        """The interior plus its leaves."""
-        return self.interior.union(self._leaf_list)
+        """The interior plus its leaves, taken on first use."""
+        nodes = self._nodes
+        if nodes is None:
+            nodes = self.interior.union(self._leaf_list)
+            object.__setattr__(self, "_nodes", nodes)
+        return nodes
 
     @property
     def size(self) -> int:
@@ -533,24 +553,29 @@ def _combine(t1: TreePatch, t2: TreePatch, union: bool) -> TreePatch:
     leaf of I1 & I2 is a leaf address of t1 that is a node of t2 or a leaf
     address of t2 in I1.  Each such address is a leaf of the result, and
     the two kinds are disjoint.  No leaf is the bare root, as both
-    interiors hold it.  The result is admissible by theorem; that is
-    checked on the derived list on every call, and its census waits for
-    the first ``counts()``."""
+    interiors hold it.  Each kind is one ``filter`` or ``filterfalse`` of
+    an operand's leaf list by a set's bound ``__contains__``, so the loop
+    and the membership tests run in C and the list keeps the operands'
+    order.  The result is admissible by theorem; that is checked on the
+    derived list on every call, and its census waits for the first
+    ``counts()``.  An operand's ``require_admissible``, which lists its
+    bad leaves, runs only when its stored admissibility is false."""
     system = t1.system
     if system is not t2.system and system != t2.system:
         raise ValidationError("patches come from incompatible enumerations")
-    t1.require_admissible("first patch")
-    t2.require_admissible("second patch")
+    if not t1._admissible:
+        t1.require_admissible("first patch")
+    if not t2._admissible:
+        t2.require_admissible("second patch")
     i1, i2 = t1.interior, t2.interior
+    l1, l2 = t1._leaf_list, t2._leaf_list
     if union:
-        n1 = t1.nodes
-        leaves = [a for a in t1._leaf_list if a not in i2]
-        leaves += [a for a in t2._leaf_list if a not in n1]
+        leaves = list(filterfalse(i2.__contains__, l1))
+        leaves += filterfalse(t1.nodes.__contains__, l2)
         interior = i1 | i2
     else:
-        n2 = t2.nodes
-        leaves = [a for a in t1._leaf_list if a in n2]
-        leaves += [a for a in t2._leaf_list if a in i1]
+        leaves = list(filter(t2.nodes.__contains__, l1))
+        leaves += filter(i1.__contains__, l2)
         interior = i1 & i2
     out = TreePatch._derived(system, interior, leaves, _gated(system, leaves), None)
     if not out.is_admissible():
@@ -578,13 +603,42 @@ def enumerate_admissible(
     max_trees: int = DEFAULT_TREE_BUDGET,
 ) -> list[TreePatch]:
     """All admissible patches obtainable from t0 by at most ``max_expansions``
-    leaf expansions, deduplicated by value.
+    leaf expansions, each once, sorted by ``TreePatch.sort_key``.
 
-    Two expansion sequences yield the same patch exactly when they expand
-    the same vertex multiset, so breadth-first search over interior sets
-    with set-dedup is exact.  Every leaf of an admissible patch has a gate
-    type, so every leaf is expandable.  Each leaf is placed once per call
-    and the placement shared (see ``CaretShape``).
+    Every leaf of an admissible patch has a gate type, so every leaf is
+    expandable.  A patch t grown from t0 is fixed by its set E of
+    expansion roots: the vertices interior in t but not in t0 whose entry
+    is a gate (see ``history``), since within a caret only its root is
+    entered through a gate.  The search is a reverse search (Avis and
+    Fukuda, 1996): each patch is grown from its parent, t with the caret
+    at max E removed, by expanding max E, so a frontier patch expands
+    only the leaves after its greatest expansion root (``()``, which
+    sorts first, for t0), breadth first, and no patch is met twice.  In
+    address order:
+
+    1. *E's increasing order is a valid growth sequence.*  Let e be in E.
+       The path from the root to e leaves t0's interior at a leaf of t0
+       that is e or a prefix of it; each vertex from that leaf to e's
+       parent is interior in t and not in t0, so it lies in the caret of
+       a root in E that is a prefix of it, hence a proper prefix of e,
+       which sorts before e.  So when e's turn comes, its parent is
+       interior; e is not, because a caret holds a gate-entered vertex
+       as interior only at its root.  e is then a leaf.
+    2. *No two increasing sequences give the same patch.*  A sequence
+       grows the patch whose E is the sequence's set, and E is read off
+       the patch, so two sequences with one patch have one set, and an
+       increasing sequence is fixed by its set.
+    3. *max E is removable.*  A root below max E would be a proper
+       extension of it and sort after it, so no other caret grows below
+       it: removing its caret gives the patch of E - {max E}, the prefix
+       of E's increasing sequence, with one expansion fewer.
+
+    By 1 and 3, every patch within the budget is grown along its
+    increasing sequence, whose prefixes are all within the budget; by 2,
+    it is grown only there.  Depth k holds exactly the patches with
+    |E| = k, those that k expansions and no fewer reach, which is what
+    the held counts of a cap error report.  Each leaf is placed once per
+    call and the placement shared (see ``CaretShape``).
     """
     if t0.system.graph != g or t0.system.gates != gs:
         raise ValidationError("t0 belongs to a different system")
@@ -592,28 +646,31 @@ def enumerate_admissible(
     place = t0.system.place
     placements: dict[Address, tuple[frozenset[Address], list[Address], CountVector]] = {}
     # each patch carries its leaf list, which both growth and sorting read
-    seen: dict[frozenset[Address], TreePatch] = {t0.interior: t0}
-    frontier, held = [t0], [1]  # held: the trees of each finished depth
+    found = [t0]
+    # each frontier patch with its greatest expansion root; () sorts first
+    frontier: list[tuple[TreePatch, Address]] = [(t0, ())]
+    held = [1]  # the trees of each finished depth
     for depth in range(1, max_expansions + 1):
-        nxt: list[TreePatch] = []
-        for t in frontier:
+        nxt: list[tuple[TreePatch, Address]] = []
+        for t, last in frontier:
             for i, leaf in enumerate(t._leaf_list):
+                if leaf <= last:
+                    continue
                 placement = placements.get(leaf)
                 if placement is None:
                     placement = placements[leaf] = place(leaf)
                 mat, placed, delta = placement
-                grown = t.interior.union(mat)
-                if grown not in seen:
-                    seen[grown] = _grow(t, i, grown, placed, delta)
-                    if len(seen) > max_trees:
-                        raise CapExceeded(
-                            f"enumeration exceeded the cap of {max_trees} trees while growing "
-                            f"depth {depth} (depths 0..{depth - 1} held {', '.join(map(str, held))} trees)"
-                        )
-                    nxt.append(seen[grown])
+                grown = _grow(t, i, t.interior.union(mat), placed, delta)
+                found.append(grown)
+                if len(found) > max_trees:
+                    raise CapExceeded(
+                        f"enumeration exceeded the cap of {max_trees} trees while growing "
+                        f"depth {depth} (depths 0..{depth - 1} held {', '.join(map(str, held))} trees)"
+                    )
+                nxt.append((grown, leaf))
         frontier = nxt
         held.append(len(nxt))
-    return sorted(seen.values(), key=TreePatch.sort_key)
+    return sorted(found, key=TreePatch.sort_key)
 
 
 # -- interval lattices -------------------------------------------------------

@@ -1,4 +1,6 @@
+import copy
 import itertools
+import pickle
 import random
 from collections import Counter
 
@@ -213,6 +215,16 @@ def test_union_incompatible_systems(loop33: System, bs23: System):
         gt.tree_union(loop33.t0, bs23.t0)
 
 
+def test_union_intersection_operand_errors(loop33: System):
+    # the bare root is a patch, but its one leaf has no gate entry
+    bare = gt.TreePatch(loop33.t0.system, frozenset())
+    for combine in (gt.tree_union, gt.tree_intersection):
+        with pytest.raises(ValidationError, match=r"^first patch is not admissible; bad leaves: \[\(\(\), None\)\]$"):
+            combine(bare, loop33.t0)
+        with pytest.raises(ValidationError, match=r"^second patch is not admissible; bad leaves: \[\(\(\), None\)\]$"):
+            combine(loop33.t0, bare)
+
+
 def test_enumerate_counts(loop33: System):
     assert gt.enumerate_admissible(loop33.g, loop33.gs, loop33.t0, 0) == [loop33.t0]
     one = gt.enumerate_admissible(loop33.g, loop33.gs, loop33.t0, 1)
@@ -247,16 +259,45 @@ def test_enumerate_matches_sequence_dedup_oracle():
     graphs += [random_gog(rng, min_degree_two=True) for _ in range(10)]
     sizes = []
     for sys in map(make_system, graphs):
-        for budget in (1, 2):
-            fast = gt.enumerate_admissible(sys.g, sys.gs, sys.t0, budget)
+        for budget in (1, 2, 3, 4):
+            try:  # past 3,000 trees the oracle takes seconds
+                fast = gt.enumerate_admissible(sys.g, sys.gs, sys.t0, budget, max_trees=3000)
+            except gt.CapExceeded:
+                assert budget > 2
+                break
             slow = all_trees(sys.t0, budget)
             assert len(fast) == len({p.interior for p in fast}) == len(slow)
             for p in fast:
                 q = slow[p.interior]
                 assert sorted(p._leaf_list) == sorted(q._leaf_list)
                 assert p.counts() == q.counts() and p.is_admissible()
-            sizes.append(len(fast))
-    assert len(sizes) == 32 and sum(sizes) > 1500
+            sizes.append((budget, len(fast)))
+    assert Counter(b for b, _ in sizes) == {1: 16, 2: 16, 3: 10, 4: 6}
+    assert sum(n for _, n in sizes) == 9550
+
+
+def test_enumeration_grows_each_patch_once(monkeypatch):
+    # canonical growth: every patch but t0 is grown once, from its parent
+    calls = 0
+    grow = patches._grow
+
+    def counted(*args):
+        nonlocal calls
+        calls += 1
+        return grow(*args)
+
+    monkeypatch.setattr(patches, "_grow", counted)
+    rng = random.Random(2408)
+    graphs = [gt.parse_gog(path.read_text()) for path in sorted(DATA.glob("*.gog"))]
+    graphs += [random_gog(rng, min_degree_two=True) for _ in range(8)]
+    total = 0
+    for sys in map(make_system, graphs):
+        for budget in (1, 2, 3):
+            calls = 0
+            trees = gt.enumerate_admissible(sys.g, sys.gs, sys.t0, budget)
+            assert calls == len(trees) - 1 == len({t.interior for t in trees}) - 1
+            total += calls
+    assert total > 20000
 
 
 @pytest.mark.parametrize("name", ["loop33", "bs23_aug"])
@@ -268,6 +309,17 @@ def test_bare_root(name: str, request):
     assert t.nodes == {()}
     assert t.counts() == gt.CountVector(0, (0,) * sys.gs.k)
     assert not t.is_admissible()
+
+
+def test_patches_copy_and_pickle(loop33: System):
+    # a frozen class with slots: copies and pickles keep value and leaves
+    trees = gt.enumerate_admissible(loop33.g, loop33.gs, loop33.t0, 2)
+    bare = gt.TreePatch(loop33.t0.system, frozenset())
+    for t in [bare, *trees]:
+        for twin in (copy.copy(t), copy.deepcopy(t), pickle.loads(pickle.dumps(t))):
+            assert twin == t and type(twin) is gt.TreePatch
+            assert twin._leaf_list == t._leaf_list and twin.nodes == t.nodes
+            assert twin.counts() == t.counts() and twin.is_admissible() == t.is_admissible()
 
 
 def test_enumeration_shares_leaf_tuples(loop33: System):
