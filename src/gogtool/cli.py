@@ -15,7 +15,7 @@ from itertools import chain
 from json.encoder import encode_basestring_ascii
 from pathlib import Path
 
-from .count_algebra import DEFAULT_DICKSON_BOX, thresholds as compute_thresholds
+from .count_algebra import DEFAULT_DICKSON_BOX, CountVector, thresholds as compute_thresholds
 from .errors import (
     CapExceeded,
     GogError,
@@ -259,10 +259,7 @@ def _cmd_viral(args) -> tuple[int, dict[str, str]]:
     doc, gs, t0 = _load_system(args)
     report = check_viral(doc.graph, gs, t0, repair_budget=args.repair_budget)
     body = report.to_json_dict()
-    body["base_tree_counts"] = {
-        "interior": t0.counts().interior,
-        "leaves": list(t0.counts().leaves),
-    }
+    body["base_tree_counts"] = t0.counts().to_json_dict()
     return (0 if report.passed else 1), {"viral.json": _dumps(body)}
 
 
@@ -272,16 +269,14 @@ def _cmd_enumerate(args) -> tuple[int, dict[str, str]]:
         doc.graph, gs, t0, args.max_expansions, max_trees=args.max_trees
     )
     by_height: dict[int, int] = {}
-    # one row object per class, rendered once, keyed by a plain tuple: the
-    # dataclass's own __eq__ and __hash__ run in Python
-    classes: dict[tuple[int, tuple[int, ...]], dict] = {}
+    # one row object per class, rendered once
+    classes: dict[CountVector, dict] = {}
     rows = []
     for p in patches:
         c = p.counts()
-        key = c.interior, c.leaves
-        row = classes.get(key)
+        row = classes.get(c)
         if row is None:
-            row = classes[key] = {"interior": c.interior, "leaves": list(c.leaves), "height": c.height}
+            row = classes[c] = {**c.to_json_dict(), "height": c.height}
         h = row["height"]
         by_height[h] = by_height.get(h, 0) + 1
         rows.append(row)
@@ -310,9 +305,7 @@ def _cmd_sf(args) -> tuple[int, dict[str, str]]:
     verts = _sf_vertices(args.height, table, t0.counts())
     report = {
         "height": args.height,
-        "vertices": [
-            {"interior": v.interior, "leaves": list(v.leaves)} for v in verts
-        ],
+        "vertices": [v.to_json_dict() for v in verts],
     }
     return 0, {"sf.json": _dumps(report)}
 

@@ -18,7 +18,7 @@ import functools
 import itertools
 import operator
 from dataclasses import dataclass
-from typing import Callable, Iterator, Sequence
+from typing import Callable, Iterator, NamedTuple, Sequence
 
 from .errors import DicksonBoxExhausted, ValidationError
 
@@ -42,9 +42,9 @@ class History:
         return sum(self.expansions)
 
 
-@dataclass(frozen=True, order=True)
-class CountVector:
-    """Interior-vertex count and typed leaf counts (I, (L_1..L_k))."""
+class CountVector(NamedTuple):
+    """Interior-vertex count and typed leaf counts (I, (L_1..L_k)); a tuple,
+    so equality, hashing and order run in C."""
 
     interior: int
     leaves: Vec
@@ -52,6 +52,9 @@ class CountVector:
     @property
     def height(self) -> int:
         return sum(self.leaves)
+
+    def to_json_dict(self) -> dict:
+        return {"interior": self.interior, "leaves": list(self.leaves)}
 
 
 def _check_dims(table, base: CountVector) -> int:
@@ -256,9 +259,9 @@ def dickson_minimal(
 # -- the rearrangement predicate and its constants ------------------------
 
 
-def _fits(mu: Sequence[int], table, c: CountVector) -> bool:
-    """M mu <= L(c): the leaves of c can hold the carets of ``mu``."""
-    return all(sum(map(operator.mul, row, mu)) <= l for row, l in zip(table.M, c.leaves))
+def fits(mu: Sequence[int], M: Sequence[Sequence[int]], leaves: Sequence[int]) -> bool:
+    """M mu <= L: leaf counts L can hold the carets of ``mu``."""
+    return all(sum(map(operator.mul, row, mu)) <= n for row, n in zip(M, leaves))
 
 
 def allowed_multisets(c: CountVector, table, base: CountVector) -> frozenset[Vec]:
@@ -280,7 +283,7 @@ def allowed_multisets(c: CountVector, table, base: CountVector) -> frozenset[Vec
         mu
         for n in realizable(c, table, base, viral=True)
         for mu in itertools.product(*(range(t + 1) for t in n.expansions))
-        if any(mu) and _fits(mu, table, c)
+        if any(mu) and fits(mu, table.M, c.leaves)
     )
 
 
@@ -317,7 +320,7 @@ def _expansion_predicate(
 
     @functools.cache
     def allows(c: CountVector) -> bool:
-        return _fits(mult, table, c) and any(
+        return fits(mult, table.M, c.leaves) and any(
             all(map(operator.le, mult, n.expansions)) for n in histories(c)
         )
 

@@ -14,7 +14,8 @@ the order, so sorted addresses keep the order of the pair form.
 Every vertex of a patch is either a leaf or has all its children, so a
 patch is fixed by its interior: any prefix-closed set of addresses whose
 steps are child steps of their parents.  It stores that set, its leaf
-addresses, its admissibility and its counts.  The nodes are the interior
+addresses, its admissibility and its counts in slots, and is equal to
+the patches with its system and interior.  The nodes are the interior
 plus the children of interior vertices (the bare root, the one address
 with no last step, when the interior is empty).  A vertex's entry, and
 so its gate type, is read off its address's last step.  A vertex is
@@ -197,10 +198,11 @@ def _gated(system: TreeSystem, leaves: list[Address]) -> bool:
     return not ungated or ungated.isdisjoint(map(itemgetter(-1), leaves))
 
 
-@dataclass(frozen=True)
 class TreePatch:
     """A finite subtree of the ambient model, stored by its interior
-    addresses, with value semantics.
+    addresses, with value semantics: equal and hashed by
+    ``(system, interior)``, and immutable by convention, as
+    ``fractions.Fraction`` is.
 
     ``TreePatch(system, interior)`` is the public constructor and the
     definition: it checks that the interior is prefix-closed and that each
@@ -213,19 +215,14 @@ class TreePatch:
 
     The class declares ``__slots__``, so a patch has no instance dict: its
     two fields and four derived values (leaf list, admissibility, counts
-    and nodes) sit in fixed slots.  ``nodes`` is taken on first read and
-    kept in its slot, like ``counts()``, where ``functools.cached_property``
-    would need the instance dict.
+    and nodes) sit in fixed slots, which copy and pickle carry by
+    Python's default slot handling.  ``nodes`` and ``counts()`` are taken
+    on first read and kept in their slots.
     """
 
     __slots__ = ("system", "interior", "_leaf_list", "_admissible", "_counts", "_nodes")
 
-    system: TreeSystem
-    interior: frozenset[Address]
-
-    def __post_init__(self):
-        system = self.system
-        interior = self.interior
+    def __init__(self, system: TreeSystem, interior: frozenset[Address]):
         # parents first, so each parent's entry is known to be valid
         for addr in sorted(interior, key=len):
             if not addr:
@@ -238,16 +235,12 @@ class TreePatch:
                     f"step {addr[-1]!r} is not a child step of the vertex at {parent} "
                     f"(label {system.label_of(parent)!r})"
                 )
-        leaves = _leaves(system, interior)
+        self.system = system
+        self.interior = interior
+        self._leaf_list = leaves = _leaves(system, interior)
         # the bare root, the leaf of the empty interior, has no gate type
-        self._set_derived(leaves, bool(interior) and _gated(system, leaves), None)
-
-    def _set_derived(self, leaves: list[Address], admissible: bool, counts: CountVector | None) -> None:
-        # the dataclass is frozen, so its slots are set through object
-        object.__setattr__(self, "_leaf_list", leaves)
-        object.__setattr__(self, "_admissible", admissible)
-        object.__setattr__(self, "_counts", counts)
-        object.__setattr__(self, "_nodes", None)
+        self._admissible = bool(interior) and _gated(system, leaves)
+        self._counts = self._nodes = None
 
     @classmethod
     def _derived(
@@ -261,15 +254,20 @@ class TreePatch:
         """A patch whose validity, leaf list, admissibility and counts (None:
         not taken yet) its caller has proved; nothing is checked or walked."""
         t = object.__new__(cls)
-        object.__setattr__(t, "system", system)
-        object.__setattr__(t, "interior", interior)
-        t._set_derived(leaves, admissible, counts)
+        t.system, t.interior, t._leaf_list = system, interior, leaves
+        t._admissible, t._counts, t._nodes = admissible, counts, None
         return t
 
-    def __reduce__(self):
-        # frozen slots take no plain setattr, so copies and pickles are
-        # rebuilt through _derived
-        return TreePatch._derived, (self.system, self.interior, self._leaf_list, self._admissible, self._counts)
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.system, self.interior) == (other.system, other.interior)
+
+    def __hash__(self):
+        return hash((self.system, self.interior))
+
+    def __repr__(self):
+        return f"TreePatch(system={self.system!r}, interior={self.interior!r})"
 
     # -- structure ---------------------------------------------------------
 
@@ -278,8 +276,7 @@ class TreePatch:
         """The interior plus its leaves, taken on first use."""
         nodes = self._nodes
         if nodes is None:
-            nodes = self.interior.union(self._leaf_list)
-            object.__setattr__(self, "_nodes", nodes)
+            nodes = self._nodes = self.interior.union(self._leaf_list)
         return nodes
 
     @property
@@ -311,17 +308,16 @@ class TreePatch:
         """Interior count and typed-leaf census.
 
         Leaves without a gate entry (possible only on non-admissible
-        patches) are not counted in L.  Taken on first use and kept in a
-        plain attribute: ``functools.cached_property`` takes a lock on every
-        first read in CPython 3.11.
+        patches) are not counted in L.  Taken on first use and kept in its
+        slot.
         """
         counts = self._counts
         if counts is None:
             step_type = self.system.step_type
             # the bare root, the leaf of the empty interior, has no last step
             types = [step_type[a[-1]] for a in self._leaf_list] if self.interior else []
-            counts = CountVector(len(self.interior), tuple(map(types.count, range(self.system.gates.k))))
-            object.__setattr__(self, "_counts", counts)
+            census = tuple(map(types.count, range(self.system.gates.k)))
+            counts = self._counts = CountVector(len(self.interior), census)
         return counts
 
     def contains(self, other: "TreePatch") -> bool:

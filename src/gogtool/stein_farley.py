@@ -23,7 +23,6 @@ from __future__ import annotations
 import bisect
 import itertools
 import math
-import operator
 from collections.abc import Collection, Sequence
 from dataclasses import dataclass
 
@@ -35,6 +34,7 @@ from .count_algebra import (
     Thresholds,
     allowed_multisets,
     expansion_matrix,
+    fits,
     predict_counts,
     weighted_vectors,
 )
@@ -164,14 +164,11 @@ class DescendingLink:
         spec = self.spec
         k = len(spec.leaves)
 
-        def fits(mu):
-            return all(sum(map(operator.mul, row, mu)) <= n for row, n in zip(spec.M, spec.leaves))
-
         def extends(mu):
             ups = (tuple(n + (t == j) for t, n in enumerate(mu)) for j in range(k))
-            return any(up in spec.allowed and fits(up) for up in ups)
+            return any(up in spec.allowed and fits(up, spec.M, spec.leaves) for up in ups)
 
-        fitting = [mu for mu in spec.allowed if fits(mu)]
+        fitting = [mu for mu in spec.allowed if fits(mu, spec.M, spec.leaves)]
         maximal = {mu for mu in fitting if not extends(mu)}
         types = [v.caret_type for v in self.vertices]
 
@@ -190,7 +187,7 @@ class DescendingLink:
             elif any(tops):
                 faces += [f for f in layer if multiset(f) in maximal]
         return {
-            "x": {"interior": self.x.interior, "leaves": list(self.x.leaves)},
+            "x": self.x.to_json_dict(),
             "height": self.x.height,
             "f_vector": list(self.f_vector),
             "vertices": [v.to_json_dict() for v in self.vertices],
@@ -449,7 +446,7 @@ class LinkReport:
 
     def to_json_dict(self) -> dict:
         return {
-            "x": {"interior": self.x.interior, "leaves": list(self.x.leaves)},
+            "x": self.x.to_json_dict(),
             "height": self.x.height,
             "f_vector": list(self.f_vector),
             "betti": list(self.betti) if self.betti is not None else None,

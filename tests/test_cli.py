@@ -12,6 +12,7 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 import gogtool as gt
 from gogtool import cli, simplicial, stein_farley
 from gogtool.cli import main
+from gogtool.count_algebra import allowed_multisets
 from gogtool.stein_farley import DescendingLink
 
 from conftest import DATA, assert_spec_holds
@@ -309,6 +310,63 @@ def test_desclink_without_out_builds_no_link_json(capsys, monkeypatch, tmp_path,
     assert hashlib.sha256(out.encode()).hexdigest() == digest
     run(capsys, "--out", str(tmp_path), "desclink", str(DATA / argv[0]), *argv[1:])
     assert calls == 1  # the counter counts
+
+
+def test_desclink_oracle_disagreement_exits_three(capsys, monkeypatch):
+    # an oracle that loses the greatest allowed multiset, a maximal one,
+    # so its spec stays downward closed
+    def short_oracle(x, g, gs, t0, max_trees):
+        table = gt.caret_table(g, gs)
+        allowed = allowed_multisets(x, table, t0.counts())
+        return stein_farley.LinkSpec(x.leaves, table.M, allowed - {max(allowed)}).build(x)
+
+    monkeypatch.setattr(cli, "oracle_descending_link", short_oracle)
+    code, out, err = run(capsys, "desclink", str(DATA / "loop33.gog"), "--height", "10", "--oracle")
+    assert code == 3 and out == ""
+    assert err == (
+        "internal invariant violated (bug): fast-path link disagrees with the oracle at "
+        "CountVector(interior=2, leaves=(5, 5)): caret-type multiset (1, 0) only in first link\n"
+    )
+
+
+def test_desclink_planted_ground_lemma(capsys, tmp_path):
+    # the first class checked by the lemma at or above threshold: on the
+    # bundled systems a planted ground exists only on links over the
+    # lemma's vertex cap
+    path = tmp_path / "amalgam24.gog"
+    path.write_text(gt.serialize_gog(gt.example_family("amalgam(2,4)")))
+    code, out, _ = run(capsys, "desclink", str(path), "--height", "12")
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == (
+        "b5b2bfec5602cce3968b37cf1a3d32ade9b54dea279a73a147239dc1a2b39b6c"
+    )
+    (link,) = json.loads(out.split("# artifact: desclink.csv")[0].split("\n", 1)[1])["links"]
+    assert link["x"] == {"interior": 21, "leaves": [12]}
+    assert link["f_vector"] == [220, 9240, 61600, 15400] and link["betti"] == [1, 0]
+    (th,) = link["thresholds"]
+    assert th["ground_check"] == "lemma checker bound 0 from planted ground"
+    assert th["status"] == "m=0: height 12 at or above threshold r(0)=10"
+
+
+def test_gog_gate_and_order_lines(capsys, tmp_path):
+    # no bundled file has gate or order lines
+    g = gt.parse_gog((DATA / "loop33.gog").read_text())
+    gates = (gt.parse_halfedge("e.iota"), gt.parse_halfedge("e.tau"))
+    path = tmp_path / "loop33_gated.gog"
+    path.write_text(gt.serialize_gog(g, gates, ("v",)))
+    assert path.read_text().endswith("gate e.iota\ngate e.tau\norder v\n")
+    for command in ("carets", "gates"):
+        assert run(capsys, command, str(path)) == run(capsys, command, str(DATA / "loop33.gog"))
+    code, out, _ = run(capsys, "augment", str(path))
+    assert code == 0
+    assert out == "vertex v\nedge e : v -> v index 9 9\ngate e.iota\ngate e.tau\norder v\n"
+    # a file gate resolves as --gates does
+    path = tmp_path / "amalgam33_gated.gog"
+    path.write_text((DATA / "amalgam33.gog").read_text() + "gate e.iota\n")
+    for command in ("carets", "gates"):
+        got = run(capsys, command, str(path))
+        assert got[0] == 0
+        assert got == run(capsys, command, str(DATA / "amalgam33.gog"), "--gates", "e.iota")
 
 
 def test_desclink_non_viral_points_to_viral(capsys):

@@ -1,5 +1,6 @@
 import itertools
 import random
+from dataclasses import dataclass
 from types import SimpleNamespace
 
 import pytest
@@ -37,6 +38,25 @@ def test_predict_matches_counts_on_enumeration(loop33: System, triple: System):
         for t in gt.enumerate_admissible(sys.g, sys.gs, sys.t0, 2):
             n = gt.history(t, sys.t0)
             assert gt.predict_counts(n, sys.table, sys.base) == t.counts()
+
+
+def test_count_vectors_order_hash_and_repr_as_a_dataclass(loop33: System, triple: System):
+    # the semantics of the frozen, ordered dataclass over (interior, leaves)
+    @dataclass(frozen=True, order=True)
+    class CountVector:
+        interior: int
+        leaves: tuple[int, ...]
+
+    CountVector.__qualname__ = "CountVector"  # its generated repr names this
+    vectors = [t.counts() for s in (loop33, triple) for t in gt.enumerate_admissible(s.g, s.gs, s.t0, 2)]
+    vectors += [gt.CountVector(i, leaves) for i in range(3) for leaves in ((), (0,), (1, 0), (0, 1, 2))]
+    random.Random(1).shuffle(vectors)
+    refs = [CountVector(c.interior, c.leaves) for c in vectors]
+    assert [CountVector(c.interior, c.leaves) for c in sorted(vectors)] == sorted(refs)
+    for c, ref in zip(vectors, refs):
+        assert hash(c) == hash(ref) == hash((c.interior, c.leaves))
+        assert repr(c) == repr(ref)
+        assert c.height == sum(ref.leaves)
 
 
 def test_realizable_examples(loop33: System):

@@ -312,7 +312,7 @@ def test_bare_root(name: str, request):
 
 
 def test_patches_copy_and_pickle(loop33: System):
-    # a frozen class with slots: copies and pickles keep value and leaves
+    # a plain class with slots: copies and pickles keep value and leaves
     trees = gt.enumerate_admissible(loop33.g, loop33.gs, loop33.t0, 2)
     bare = gt.TreePatch(loop33.t0.system, frozenset())
     for t in [bare, *trees]:
@@ -320,6 +320,19 @@ def test_patches_copy_and_pickle(loop33: System):
             assert twin == t and type(twin) is gt.TreePatch
             assert twin._leaf_list == t._leaf_list and twin.nodes == t.nodes
             assert twin.counts() == t.counts() and twin.is_admissible() == t.is_admissible()
+
+
+def test_patches_are_values(loop33: System):
+    # equality, hash and repr of a dataclass over (system, interior)
+    trees = gt.enumerate_admissible(loop33.g, loop33.gs, loop33.t0, 2)
+    bare = gt.TreePatch(loop33.t0.system, frozenset())
+    for t in [bare, *trees]:
+        assert t == gt.TreePatch(t.system, t.interior)
+        assert hash(t) == hash((t.system, t.interior))
+        assert repr(t) == f"TreePatch(system={t.system!r}, interior={t.interior!r})"
+        assert (t == t.interior) is False and t.__eq__(t.interior) is NotImplemented
+    twins = [gt.TreePatch(t.system, t.interior) for t in trees]
+    assert len({bare, *trees, *twins, gt.TreePatch(bare.system, frozenset())}) == len(trees) + 1
 
 
 def test_enumeration_shares_leaf_tuples(loop33: System):

@@ -3,6 +3,7 @@ import itertools
 import json
 import random
 from collections import Counter
+from dataclasses import replace
 
 import pytest
 
@@ -114,6 +115,19 @@ def test_oracle_equivalence_small_heights(loop33: System, amalgam33: System):
                 assert_spec_holds(slow)
                 nonempty += bool(fast.vertices)
     assert nonempty == 2  # loop(3,3) h10 (200 vertices), amalgam(3,3) h6 (15)
+
+
+def test_link_difference_names_a_witness(loop33: System):
+    (x,) = sf_vertices_at_height(10, loop33.table, loop33.base)
+    fast = descending_link(x, loop33.table, loop33.base)
+    other = ((3, 2), (2, 4))
+    tables = replace(fast, spec=replace(fast.spec, M=other))
+    assert link_difference(fast, tables) == f"caret tables differ: {loop33.table.M} vs {other}"
+    short = LinkSpec(x.leaves, loop33.table.M, fast.spec.allowed - {(1, 0)}).build(x)
+    assert link_difference(fast, short) == "caret-type multiset (1, 0) only in first link"
+    assert link_difference(short, fast) == "caret-type multiset (1, 0) only in second link"
+    moved = replace(fast, x=xv(3, (5, 5)))
+    assert link_difference(fast, moved) == f"different count classes: {x} vs {moved.x}"
 
 
 def test_oracle_equivalence_bs23_aug_base(bs23_aug: System):
